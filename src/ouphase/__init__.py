@@ -20,7 +20,7 @@ from .stochastic import (
 from .detection import (
     FeedbackParams,
     Trajectory,
-    instantaneous_estimate,
+    linearized_theta,
     run_adaptive_loop,
     run_dual_homodyne,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "Trajectory",
     "run_adaptive_loop",
     "run_dual_homodyne",
-    "instantaneous_estimate",
+    "linearized_theta",
     "EstimatorParams",
     "EstimateSeries",
     "MseStats",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .errors import ConfigurationError, ParameterError
-from .estimators import WEIGHT_SUM_TOL
+from .errors import ConfigurationError, ParameterError, check_real
+from .estimators import check_rates_and_weights
 from .stochastic import ProcessParams
 
 __all__ = [
@@ -56,23 +56,15 @@ class TheoryPoint:
     scheme: str = "adaptive"
 
     def __post_init__(self):
-        for name in ("chi_minus", "chi_plus"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be finite and > 0")
+        check_rates_and_weights(self)
         if self.scheme not in SCHEMES:
             raise ParameterError(f"unknown scheme: {self.scheme!r}")
-
-
-def _check_chi(chi: float):
-    if not (math.isfinite(chi) and chi > 0):
-        raise ParameterError("chi must be finite and > 0")
 
 
 def filtered_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") -> float:
     """Stationary MSE of the causal (or anticausal) estimator:
     kappa/(2*(chi+lam)) + chi/(8*N')."""
-    _check_chi(chi)
+    chi = check_real("chi", chi, above=0.0)
     n_eff = effective_flux(params, scheme)
     return params.kappa / (2.0 * (chi + params.lam)) + chi / (8.0 * n_eff)
 
@@ -83,8 +75,8 @@ def forward_backward_correlation(
     """Error cross-covariance of the forward and backward estimators:
     kappa*lam/(2*(chi_minus+lam)*(chi_plus+lam)). Pure signal term, so it is
     scheme independent and vanishes for pure diffusion."""
-    _check_chi(chi_minus)
-    _check_chi(chi_plus)
+    chi_minus = check_real("chi_minus", chi_minus, above=0.0)
+    chi_plus = check_real("chi_plus", chi_plus, above=0.0)
     return params.kappa * params.lam / (
         2.0 * (chi_minus + params.lam) * (chi_plus + params.lam)
     )
@@ -92,8 +84,6 @@ def forward_backward_correlation(
 
 def combined_mse(point: TheoryPoint) -> float:
     """MSE of the affine combination w-*forward + w+*backward."""
-    if abs(point.w_minus + point.w_plus - 1.0) > WEIGHT_SUM_TOL:
-        raise ParameterError("w_minus + w_plus must sum to 1")
     p = point.params
     vm = filtered_mse(p, point.chi_minus, point.scheme)
     vp = filtered_mse(p, point.chi_plus, point.scheme)
@@ -104,7 +94,7 @@ def combined_mse(point: TheoryPoint) -> float:
 def smoothed_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") -> float:
     """MSE at the symmetric optimum (equal rates, weights 1/2):
     kappa*(chi+2*lam)/(4*(chi+lam)^2) + chi/(16*N')."""
-    _check_chi(chi)
+    chi = check_real("chi", chi, above=0.0)
     n_eff = effective_flux(params, scheme)
     return params.kappa * (chi + 2.0 * params.lam) / (4.0 * (chi + params.lam) ** 2) + chi / (
         16.0 * n_eff
@@ -161,9 +151,7 @@ def sql_mse(params: ProcessParams) -> float:
 def optimal_beta(chi: float, flux: float) -> float:
     """Feedback gain minimizing the filtered error at averaging rate chi:
     sqrt(8*chi*N)."""
-    _check_chi(chi)
-    if not (math.isfinite(flux) and flux > 0):
-        raise ParameterError("flux must be finite and > 0")
+    chi, flux = check_real("chi", chi, above=0.0), check_real("flux", flux, above=0.0)
     return math.sqrt(8.0 * chi * flux)
 
 
@@ -193,8 +181,7 @@ def improvement_ratios(params: ProcessParams) -> ImprovementRatios:
     chi_lim = 2.0 * math.sqrt(params.kappa * params.flux)
     smoothing = filtered_mse(params, chi_lim) / smoothed_mse(params, chi_lim)
     limit_adaptive = math.sqrt(params.kappa / params.flux) / 2.0
-    limit_dual = math.sqrt(params.kappa / (params.flux / 2.0)) / 2.0
-    adaptive = limit_dual / limit_adaptive
+    adaptive = sql_mse(params) / limit_adaptive  # the SQL is the limit-form dual optimum
     total_limit = sql_mse(params) / (math.sqrt(params.kappa / params.flux) / 4.0)
     exact_best = optimal_chi(params, "smoothed", "adaptive")
     total_exact = sql_mse(params) / exact_best.mse_star

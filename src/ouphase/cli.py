@@ -68,7 +68,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_value(key: str, raw: str):
     try:
-        if key in _FLOAT_KEYS:
+        if key in ("beta", "edge_discard") and raw == "auto":
+            return "auto"
+        if key in _FLOAT_KEYS or key in ("beta", "edge_discard"):
             v = float(raw)
             if not math.isfinite(v):
                 raise ValueError
@@ -79,13 +81,6 @@ def _parse_value(key: str, raw: str):
             if raw not in _CHOICE_KEYS[key]:
                 raise ValueError
             return raw
-        if key in ("beta", "edge_discard"):
-            if raw == "auto":
-                return "auto"
-            v = float(raw)
-            if not math.isfinite(v):
-                raise ValueError
-            return v
     except ValueError:
         raise ParameterError(f"invalid value for config key {key!r}: {raw!r}") from None
     raise ParameterError(f"unknown config key: {key}")
@@ -192,13 +187,12 @@ class RunManifest:
     """Everything needed to reproduce a run: resolved configuration, tool
     version and seed, plus the per-condition results.
 
-    The timestamp field is kept deterministic (null) in emitted files so
-    that a fixed seed produces byte-identical output.
+    Emitted files carry a ``"timestamp": null`` key and no wall-clock data,
+    so that a fixed seed produces byte-identical output.
     """
 
     version: str
     master_seed: int
-    timestamp: None
     config: dict
     results: list
 
@@ -207,7 +201,7 @@ class RunManifest:
             "tool": "ouphase",
             "version": self.version,
             "master_seed": self.master_seed,
-            "timestamp": self.timestamp,
+            "timestamp": None,
             "config": self.config,
             "results": self.results,
         }
@@ -246,7 +240,6 @@ def build_manifest(reports, config: ExperimentConfig | None = None, extra: dict 
     return RunManifest(
         version=__version__,
         master_seed=config.master_seed,
-        timestamp=None,
         config=echo,
         results=[_condition_row(c) for c in _ordered_conditions(reports)],
     )
@@ -348,23 +341,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_values(args, config: ExperimentConfig, axis: str):
-    if args.values is not None:
-        vals = [float(tok) for tok in args.values.split(",") if tok.strip()]
-        if args.relative:
-            if axis == "chi":
-                scale = 2.0 * math.sqrt(
-                    config.params.kappa * analytics.effective_flux(config.params, config.scheme)
-                )
-            else:
-                scale = config.params.flux
-            vals = [v * scale for v in vals]
-        return vals
+    """--values as given or, with --relative, times the axis scale; else a default grid."""
+    p = config.params
     if axis == "chi":
-        scale = 2.0 * math.sqrt(
-            config.params.kappa * analytics.effective_flux(config.params, config.scheme)
-        )
-        return [v * scale for v in (0.3, 0.6, 1.0, 1.8, 3.0)]
-    return [v * config.params.flux for v in (1.0, 2.0, 5.0, 10.0)]
+        scale = 2.0 * math.sqrt(p.kappa * analytics.effective_flux(p, config.scheme))
+        multiples = (0.3, 0.6, 1.0, 1.8, 3.0)
+    else:
+        scale, multiples = p.flux, (1.0, 2.0, 5.0, 10.0)
+    if args.values is not None:
+        multiples = [float(tok) for tok in args.values.split(",") if tok.strip()]
+        if not args.relative:
+            return multiples
+    return [v * scale for v in multiples]
 
 
 def _cmd_sweep(args, axis: str) -> int:
@@ -490,12 +478,10 @@ def dispatch(argv) -> int:
     try:
         if args.command == "analytic":
             return _cmd_analytic(args)
+        if args.command.startswith("sweep-"):
+            return _cmd_sweep(args, args.command.removeprefix("sweep-"))
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "sweep-chi":
-            return _cmd_sweep(args, "chi")
-        if args.command == "sweep-flux":
-            return _cmd_sweep(args, "flux")
         if args.command == "compare":
             return _cmd_compare(args)
         raise ParameterError(f"unknown subcommand: {args.command!r}")

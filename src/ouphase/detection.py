@@ -4,6 +4,9 @@ Both detectors turn a true-phase trajectory into photocurrent samples and a
 per-sample instantaneous phase estimate. The instantaneous estimate is an
 extremely noisy white series (its per-sample variance diverges as 1/dt); the
 estimators module averages it into useful estimates.
+
+In the linearized model that estimate is ``linearized_theta`` for both
+detectors: it does not depend on the feedback loop, only on the flux.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check_real, check_real_fields
 from .stochastic import NoiseStream, ProcessParams, SimGrid, wiener_increments
 
 __all__ = [
@@ -22,7 +25,7 @@ __all__ = [
     "Trajectory",
     "run_adaptive_loop",
     "run_dual_homodyne",
-    "instantaneous_estimate",
+    "linearized_theta",
 ]
 
 
@@ -40,12 +43,10 @@ class FeedbackParams:
     phihat0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ParameterError("beta must be finite and > 0")
-        if not (math.isfinite(self.omega0) and 0 <= self.omega0 < self.beta):
+        check_real_fields(self, "beta", above=0.0)
+        check_real_fields(self, "omega0", "phihat0")
+        if not 0 <= self.omega0 < self.beta:
             raise ParameterError("omega0 must satisfy 0 <= omega0 < beta")
-        if not math.isfinite(self.phihat0):
-            raise ParameterError("phihat0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,9 @@ class Trajectory:
     theta: np.ndarray
 
     def __post_init__(self):
-        n = self.grid.n_steps
         currents = self.current if isinstance(self.current, tuple) else (self.current,)
-        for arr in (self.phi, *currents, self.theta):
-            if len(arr) != n:
-                raise ParameterError("trajectory arrays must all have grid.n_steps samples")
-        if self.phihat is not None and len(self.phihat) != n:
+        phihat = () if self.phihat is None else (self.phihat,)
+        if any(len(a) != self.grid.n_steps for a in (self.phi, *currents, *phihat, self.theta)):
             raise ParameterError("trajectory arrays must all have grid.n_steps samples")
 
 
@@ -83,9 +81,25 @@ def _check_phi(phi, grid: SimGrid) -> np.ndarray:
 
 
 def _check_efficiency(efficiency: float) -> float:
-    if not (math.isfinite(efficiency) and 0 < efficiency <= 1):
+    efficiency = check_real("efficiency", efficiency, above=0.0)
+    if efficiency > 1:
         raise ParameterError("efficiency must lie in (0, 1]")
-    return float(efficiency)
+    return efficiency
+
+
+def linearized_theta(phi, dW, flux: float, dt: float) -> np.ndarray:
+    """Instantaneous estimate of a linearized detector of effective flux N',
+    ``theta[k] = phi[k] + dW[k] / (dt * 2*sqrt(N'))`` for equal-length arrays
+    phi and dW (the Wiener increments).
+
+    It is ``phihat + I/(2*sqrt(N'))`` with ``I = 2*sqrt(N')*(phi - phihat) + dW/dt``
+    for any phihat: the loop estimate cancels. Adaptive detection (N' = N)
+    and dual homodyne (N' = N/2, second arm's noise) differ only in N'.
+    """
+    root = 2.0 * math.sqrt(check_real("flux", flux, above=0.0))
+    theta = dW / (check_real("dt", dt, above=0.0) * root)
+    theta += phi
+    return theta
 
 
 def run_adaptive_loop(
@@ -107,6 +121,9 @@ def run_adaptive_loop(
     theta is computed from that defining identity, so
     ``theta == phihat + current/(2*sqrt(N))`` holds bit-exactly on the
     returned Trajectory. With omega0 = 0 the loop is a pure integrator.
+
+    This is the detector's physical model; ensembles run it only for
+    ``source="phihat"``, since phihat cancels from theta (``linearized_theta``).
 
     ``efficiency`` scales the detected flux (N -> efficiency*N) in the signal
     term while the shot noise stays at unit level; the default 1.0 is the
@@ -156,6 +173,9 @@ def run_dual_homodyne(
     No phase unwrapping is performed; at the rms phase amplitudes of
     interest (~0.36 rad) wrapping events are rare but would contaminate
     variance statistics, which is why linearized is the default.
+
+    This is the detector's physical model; ensembles run it only in arg mode,
+    since linearized theta needs neither current (``linearized_theta``).
     """
     phi = _check_phi(phi, grid)
     s1, s2 = streams
@@ -173,7 +193,7 @@ def run_dual_homodyne(
     if mode == "linearized":
         plus = amp + dW1 / dt
         minus = amp * phi + dW2 / dt
-        theta = phi + dW2 / (dt * amp)
+        theta = linearized_theta(phi, dW2, n_split, dt)
     else:
         plus = amp * np.cos(phi) + dW1 / dt
         minus = amp * np.sin(phi) + dW2 / dt
@@ -181,9 +201,3 @@ def run_dual_homodyne(
         theta[theta == -np.pi] = np.pi
     return Trajectory(grid=grid, phi=phi, current=(plus, minus), phihat=None, theta=theta)
 
-
-def instantaneous_estimate(current_sample: float, phihat_sample: float, flux: float) -> float:
-    """Single-sample phase estimate: phihat + current / (2*sqrt(flux))."""
-    if not (isinstance(flux, (int, float)) and math.isfinite(flux) and flux > 0):
-        raise ParameterError("flux must be finite and > 0")
-    return phihat_sample + current_sample / (2.0 * math.sqrt(flux))

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ConfigurationError, ParameterError, StatisticsError
+from .errors import check_real, check_real_fields
 from .stochastic import SimGrid
 
 __all__ = [
@@ -49,20 +50,20 @@ class EstimatorParams:
     edge_discard: float | None = None
 
     def __post_init__(self):
-        for name in ("chi_minus", "chi_plus"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ParameterError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.w_minus) and math.isfinite(self.w_plus)):
-            raise ParameterError("weights must be finite")
-        if abs(self.w_minus + self.w_plus - 1.0) > WEIGHT_SUM_TOL:
-            raise ParameterError("w_minus + w_plus must sum to 1")
+        check_rates_and_weights(self)
         if self.source not in ("theta", "phihat"):
             raise ParameterError(f"unknown estimator source: {self.source!r}")
-        if self.edge_discard is not None and not (
-            math.isfinite(self.edge_discard) and self.edge_discard >= 0
-        ):
-            raise ParameterError("edge_discard must be finite and >= 0")
+        if self.edge_discard is not None:
+            check_real_fields(self, "edge_discard", at_least=0.0)
+
+
+def check_rates_and_weights(obj):
+    """Checks shared by ``EstimatorParams`` and ``analytics.TheoryPoint``:
+    chi_minus, chi_plus > 0 and finite weights summing to 1, stored as floats."""
+    check_real_fields(obj, "chi_minus", "chi_plus", above=0.0)
+    check_real_fields(obj, "w_minus", "w_plus")
+    if abs(obj.w_minus + obj.w_plus - 1.0) > WEIGHT_SUM_TOL:
+        raise ParameterError("w_minus + w_plus must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,13 @@ class MseStats:
     n_eff: int
 
 
-def _check_rate(chi: float, dt: float):
-    if not (math.isfinite(chi) and chi > 0):
-        raise ParameterError("chi must be finite and > 0")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ParameterError("dt must be finite and > 0")
+def _check_rate(chi: float, dt: float) -> tuple[float, float]:
+    chi, dt = check_real("chi", chi, above=0.0), check_real("dt", dt, above=0.0)
     if chi * dt >= 0.5:
         raise ConfigurationError(
             f"chi*dt = {chi * dt:.3g} >= 0.5: grid too coarse for this averaging rate"
         )
+    return chi, dt
 
 
 def causal_exponential_average(series, chi: float, dt: float) -> np.ndarray:
@@ -108,7 +107,7 @@ def causal_exponential_average(series, chi: float, dt: float) -> np.ndarray:
 
     The (1-a) input weight makes the DC gain exactly 1 at any chi*dt.
     """
-    _check_rate(chi, dt)
+    chi, dt = _check_rate(chi, dt)
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         return x.copy()
@@ -132,8 +131,6 @@ def combine_smoothed(forward, backward, params: EstimatorParams) -> np.ndarray:
     b = np.asarray(backward, dtype=float)
     if f.shape != b.shape:
         raise ParameterError("forward and backward series must have equal length")
-    if abs(params.w_minus + params.w_plus - 1.0) > WEIGHT_SUM_TOL:
-        raise ParameterError("w_minus + w_plus must sum to 1")
     return params.w_minus * f + params.w_plus * b
 
 
@@ -147,8 +144,7 @@ def apply_estimators(series, params: EstimatorParams, grid: SimGrid) -> Estimate
 
 def retained_window(grid: SimGrid, edge_discard: float) -> tuple[int, int]:
     """Index window [i0, i1) after dropping warmup and the edge spans."""
-    if not (math.isfinite(edge_discard) and edge_discard >= 0):
-        raise ParameterError("edge_discard must be finite and >= 0")
+    edge_discard = check_real("edge_discard", edge_discard, at_least=0.0)
     if 2.0 * edge_discard >= grid.duration - grid.warmup:
         raise ParameterError(
             "edge_discard too large: 2*edge_discard must be < duration - warmup"
@@ -189,8 +185,7 @@ def empirical_mse(
     span = len(sq) * grid.dt
     if batch_time is None:
         batch_time = span / 30.0
-    if not (math.isfinite(batch_time) and batch_time > 0):
-        raise ParameterError("batch_time must be finite and > 0")
+    batch_time = check_real("batch_time", batch_time, above=0.0)
     n_batches = int(span / batch_time)
     if n_batches < 10:
         raise StatisticsError(

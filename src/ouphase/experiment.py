@@ -17,10 +17,12 @@ from functools import partial
 import numpy as np
 
 from . import analytics
-from .detection import FeedbackParams, run_adaptive_loop, run_dual_homodyne
+from .detection import FeedbackParams, linearized_theta, run_adaptive_loop, run_dual_homodyne
 from .errors import ConfigurationError, ParameterError, StatisticsError
+from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, apply_estimators, retained_window
-from .stochastic import NoiseStream, ProcessParams, Role, SimGrid, simulate_ou
+from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
+from .stochastic import simulate_ou, wiener_increments
 
 __all__ = [
     "ExperimentConfig",
@@ -45,7 +47,8 @@ class ExperimentConfig:
     ``beta`` is "auto" (resolve to sqrt(8*chi*N), adaptive scheme only), a
     positive number, or None for the dual scheme where no feedback runs.
     ``noise_scale`` scales all noise streams and exists for deterministic
-    noise-free runs in tests; production runs leave it at 1.
+    noise-free runs in tests; production runs leave it at 1. ``omega0`` and
+    ``phihat0`` are checked as ``FeedbackParams`` for the adaptive scheme.
     """
 
     params: ProcessParams
@@ -65,10 +68,8 @@ class ExperimentConfig:
             raise ParameterError(f"unknown scheme: {self.scheme!r}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
-            raise ParameterError("master_seed must be an integer in [0, 2**64)")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ParameterError("noise_scale must be finite and >= 0")
+        check_index("master_seed", self.master_seed, SEED_BITS)
+        check_real_fields(self, "noise_scale", at_least=0.0)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
         if isinstance(self.beta, str):
@@ -79,13 +80,20 @@ class ExperimentConfig:
         elif self.beta is None:
             if self.scheme == "adaptive":
                 raise ParameterError("adaptive scheme requires a feedback gain beta")
-        elif not (math.isfinite(self.beta) and self.beta > 0):
-            raise ParameterError("beta must be finite and > 0")
+        else:
+            check_real_fields(self, "beta", above=0.0)
         if self.scheme != "adaptive" and self.estimator.source == "phihat":
             raise ParameterError("source='phihat' requires the adaptive scheme")
-        # fail early on an unstable loop or an over-long edge discard
-        self.resolved_beta()
+        # fail early on bad loop constants, an unstable loop or an over-long edge discard
+        self.feedback()
         self.resolved_edge_discard()
+
+    def feedback(self) -> FeedbackParams | None:
+        """The feedback loop's constants (adaptive scheme), else None."""
+        beta = self.resolved_beta()
+        if beta is None:
+            return None
+        return FeedbackParams(beta=beta, omega0=self.omega0, phihat0=self.phihat0)
 
     def resolved_beta(self) -> float | None:
         if self.scheme != "adaptive":
@@ -112,10 +120,7 @@ class ExperimentConfig:
                     "when statistics are requested"
                 )
         else:
-            edge = default_edge_discard(
-                chi_min, self.resolved_beta() if self.scheme == "adaptive" else None,
-                self.params.lam, span,
-            )
+            edge = default_edge_discard(chi_min, self.resolved_beta(), self.params.lam, span)
         if 2.0 * edge >= span:
             raise ConfigurationError(
                 f"edge discard 2*{edge:.3g} s leaves no data in a {span:.3g} s window"
@@ -148,40 +153,32 @@ class TrialResult:
     backward_mse: float
 
 
-def _trial_streams(config: ExperimentConfig, trial_index: int):
-    mk = lambda role: NoiseStream(
-        master_seed=config.master_seed,
-        trial_index=trial_index,
-        role=role,
-        scale=config.noise_scale,
-    )
-    return mk(Role.PHASE_NOISE), mk(Role.MEASUREMENT_NOISE), mk(Role.MEASUREMENT_NOISE_2)
-
-
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     """Simulate one trial and return its three MSE samples.
 
     Deterministic in (config.master_seed, trial_index); trials of an ensemble
-    may run in any order or in parallel without changing any result.
+    may run in any order or in parallel without changing any result. Linearized
+    theta comes from ``linearized_theta``: the feedback loop runs only for
+    ``source="phihat"``, and dual homodyne only in arg mode.
     """
-    phase, meas1, meas2 = _trial_streams(config, trial_index)
-    init = "stationary" if config.params.lam > 0 else 0.0
-    phi = simulate_ou(config.params, config.grid, phase, init=init)
+    streams = [NoiseStream(config.master_seed, trial_index, r, config.noise_scale) for r in Role]
+    phase, meas1, meas2 = streams  # Role order: phase, first and second measurement noise
+    params, grid = config.params, config.grid
+    init = "stationary" if params.lam > 0 else 0.0
+    phi = simulate_ou(params, grid, phase, init=init)
 
-    if config.scheme == "adaptive":
-        fb = FeedbackParams(
-            beta=config.resolved_beta(), omega0=config.omega0, phihat0=config.phihat0
-        )
-        traj = run_adaptive_loop(phi, config.params, fb, config.grid, meas1)
-        source = traj.theta if config.estimator.source == "theta" else traj.phihat
+    if config.estimator.source == "phihat":
+        source = run_adaptive_loop(phi, params, config.feedback(), grid, meas1).phihat
+    elif config.scheme == "dual_homodyne" and config.dual_mode == "arg":
+        source = run_dual_homodyne(phi, params, grid, (meas1, meas2), mode="arg").theta
     else:
-        traj = run_dual_homodyne(
-            phi, config.params, config.grid, (meas1, meas2), mode=config.dual_mode
-        )
-        source = traj.theta
+        meas = meas1 if config.scheme == "adaptive" else meas2
+        flux = analytics.effective_flux(params, config.scheme)
+        # dW is not bound to a name, so it is freed before the estimators run
+        source = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt), flux, grid.dt)
 
-    est = apply_estimators(source, config.estimator, config.grid)
-    i0, i1 = retained_window(config.grid, config.resolved_edge_discard())
+    est = apply_estimators(source, config.estimator, grid)
+    i0, i1 = retained_window(grid, config.resolved_edge_discard())
     truth = phi[i0:i1]
 
     def mse(series):
@@ -250,6 +247,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> VarianceReport:
     ``workers > 1`` distributes trials over processes; results are identical
     to a serial run because aggregation folds in trial-index order.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     if config.trials < MIN_TRIALS_FOR_STDERR:
         raise StatisticsError(
             f"{config.trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars"
@@ -307,16 +306,15 @@ def sweep(
     """
     vals = _check_sweep_values(values)
     reports = []
+    beta = "auto" if config.scheme == "adaptive" else None
     if axis == "chi":
         for chi in vals:
             est = replace(config.estimator, chi_minus=float(chi), chi_plus=float(chi))
-            beta = "auto" if config.scheme == "adaptive" else None
             reports.append(run_ensemble(replace(config, estimator=est, beta=beta), workers))
         return reports
     if axis == "flux":
         for flux in vals:
             params = replace(config.params, flux=float(flux))
-            beta = "auto" if config.scheme == "adaptive" else None
             per_mode = {}
             for mode in ("filtered", "smoothed"):
                 chi = analytics.optimal_chi(params, mode, config.scheme).chi_star

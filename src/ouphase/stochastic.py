@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
-from .errors import ParameterError
+from .errors import ParameterError, check_index, check_real, check_real_fields
 
 __all__ = [
     "Role",
@@ -27,7 +27,8 @@ __all__ = [
     "simulate_ou",
 ]
 
-_MAX_SEED = 2**64
+SEED_BITS = 64
+TRIAL_BITS = 61  # trial_index*8 + role must fit in the uint64 Philox key word
 
 
 class Role(enum.IntEnum):
@@ -52,13 +53,10 @@ class NoiseStream:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _MAX_SEED:
-            raise ParameterError("master_seed must be an integer in [0, 2**64)")
-        if not isinstance(self.trial_index, int) or self.trial_index < 0:
-            raise ParameterError("trial_index must be a non-negative integer")
+        check_index("master_seed", self.master_seed, SEED_BITS)
+        check_index("trial_index", self.trial_index, TRIAL_BITS)
         object.__setattr__(self, "role", Role(self.role))
-        if not (math.isfinite(self.scale) and self.scale >= 0.0):
-            raise ParameterError("scale must be finite and >= 0")
+        check_real_fields(self, "scale", at_least=0.0)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -92,16 +90,8 @@ class ProcessParams:
     flux: float
 
     def __post_init__(self):
-        for name in ("kappa", "lam", "flux"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ParameterError(f"{name} must be finite")
-        if self.kappa <= 0:
-            raise ParameterError("kappa must be > 0")
-        if self.flux <= 0:
-            raise ParameterError("flux must be > 0")
-        if self.lam < 0:
-            raise ParameterError("lam must be >= 0")
+        check_real_fields(self, "kappa", "flux", above=0.0)
+        check_real_fields(self, "lam", at_least=0.0)
 
     @property
     def stationary_variance(self) -> float:
@@ -120,11 +110,9 @@ class SimGrid:
     warmup: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ParameterError("dt must be finite and > 0")
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ParameterError("duration must be finite and > 0")
-        if not (math.isfinite(self.warmup) and 0 <= self.warmup < self.duration):
+        check_real_fields(self, "dt", "duration", above=0.0)
+        check_real_fields(self, "warmup", at_least=0.0)
+        if self.warmup >= self.duration:
             raise ParameterError("warmup must satisfy 0 <= warmup < duration")
         if self.n_steps < 2:
             raise ParameterError("grid must contain at least 2 steps")
@@ -143,9 +131,7 @@ def wiener_increments(stream: NoiseStream, n: int, dt: float) -> np.ndarray:
     Pure function of the stream identity: calling twice returns
     bit-identical arrays. ``dt = 0`` returns exact zeros.
     """
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt >= 0):
-        raise ParameterError("dt must be finite and >= 0")
-    return stream.normals(n) * math.sqrt(dt)
+    return stream.normals(n) * math.sqrt(check_real("dt", dt, at_least=0.0))
 
 
 def simulate_ou(
@@ -173,14 +159,13 @@ def simulate_ou(
         if params.lam == 0:
             raise ParameterError("stationary init undefined for lam = 0")
     else:
-        if not math.isfinite(float(init)):
-            raise ParameterError("fixed init must be finite")
+        init = check_real("fixed init", init)
 
     z = stream.normals(n)  # z[0] seeds the initial condition in stationary mode
 
     if params.lam == 0:
         phi = np.empty(n)
-        phi[0] = float(init)
+        phi[0] = init
         np.cumsum(math.sqrt(params.kappa * dt) * z[1:], out=phi[1:])
         phi[1:] += phi[0]
         return phi
@@ -188,5 +173,5 @@ def simulate_ou(
     decay = math.exp(-params.lam * dt)
     step_sd = math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
     x = step_sd * z
-    x[0] = math.sqrt(params.stationary_variance) * z[0] if stationary else float(init)
+    x[0] = math.sqrt(params.stationary_variance) * z[0] if stationary else init
     return lfilter([1.0], [1.0, -decay], x)

@@ -94,10 +94,11 @@ class TestCombination:
         assert combined_mse(point) == filtered_mse(ap_params, 2e5)
 
     def test_weight_sum_enforced(self, ap_params):
-        point = TheoryPoint(params=ap_params, chi_minus=2e5, chi_plus=4e5,
-                            w_minus=0.5, w_plus=0.6)
-        with pytest.raises(ParameterError):
-            combined_mse(point)
+        # checked once, when the frozen TheoryPoint is built
+        for w_plus in (0.6, float("nan")):
+            with pytest.raises(ParameterError):
+                TheoryPoint(params=ap_params, chi_minus=2e5, chi_plus=4e5,
+                            w_minus=0.5, w_plus=w_plus)
 
     @settings(max_examples=200, deadline=None)
     @given(params=params_strategy, chi=chi_strategy)

@@ -247,6 +247,18 @@ class TestExitCodes:
         assert code == 1
         assert "i/o" in err
 
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_bad_workers_is_one(self, workers, capsys):
+        code, _, err = run(["simulate", *FAST, "--workers", workers], capsys)
+        assert code == 1
+        assert "workers" in err
+
+    @pytest.mark.parametrize("omega0", ["-5", "1e9"])
+    def test_bad_omega0_is_one(self, omega0, capsys):
+        code, _, err = run(["simulate", *FAST, "--omega0", omega0], capsys)
+        assert code == 1
+        assert "omega0 must satisfy 0 <= omega0 < beta" in err
+
     def test_missing_config_file_is_one(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1

@@ -13,7 +13,7 @@ from ouphase import (
     SimGrid,
     causal_exponential_average,
     empirical_mse,
-    instantaneous_estimate,
+    linearized_theta,
     run_adaptive_loop,
     run_dual_homodyne,
     simulate_ou,
@@ -72,6 +72,17 @@ class TestAdaptiveLoop:
         traj = run_adaptive_loop(phi, ap_params, fb, g, noisy())
         root = 2.0 * math.sqrt(ap_params.flux)
         assert np.array_equal(traj.theta, traj.phihat + traj.current / root)
+
+    def test_theta_matches_linearized_identity(self, ap_params):
+        # phihat cancels from theta: any loop gives phi + dW/(2 sqrt(N) dt) to rounding
+        g = SimGrid(dt=2e-8, duration=2e-4)
+        phi = simulate_ou(ap_params, g, noisy(Role.PHASE_NOISE))
+        stream = noisy()
+        dW = stream.normals(g.n_steps) * math.sqrt(g.dt)
+        expected = linearized_theta(phi, dW, ap_params.flux, g.dt)
+        for beta, omega0 in ((BETA_OP, 1e2), (BETA_OP / 4, 0.0)):
+            traj = run_adaptive_loop(phi, ap_params, FeedbackParams(beta, omega0), g, stream)
+            assert np.allclose(traj.theta, expected, rtol=0, atol=1e-12)
 
     def test_matches_explicit_recursion(self, ap_params):
         g = SimGrid(dt=2e-8, duration=4000 * 2e-8)
@@ -194,6 +205,7 @@ class TestDualHomodyne:
         dW2 = s2.normals(g.n_steps) * math.sqrt(g.dt)
         expected = phi + dW2 / (g.dt * 2.0 * math.sqrt(ap_params.flux / 2.0))
         assert np.array_equal(traj.theta, expected)
+        assert np.array_equal(linearized_theta(phi, dW2, ap_params.flux / 2.0, g.dt), expected)
 
     def test_arg_agrees_with_linearized(self, dh_params):
         # coarse sampling so each sample resolves the phasor (SNR ~ 3), where
@@ -221,21 +233,3 @@ class TestDualHomodyne:
         assert np.all(traj.theta > -np.pi)
         assert np.all(traj.theta <= np.pi)
 
-
-class TestInstantaneousEstimate:
-    def test_zero_current_returns_phihat(self):
-        assert instantaneous_estimate(0.0, 0.5, 2.5e6) == 0.5
-
-    def test_inverts_signal_term(self):
-        flux = 1.3499e6
-        current = 2 * math.sqrt(flux) * 0.1
-        assert instantaneous_estimate(current, 0.0, flux) == pytest.approx(0.1, rel=1e-14)
-
-    def test_headline_flux_arithmetic(self):
-        got = instantaneous_estimate(1.0, 0.2, 1.3499e6)
-        assert got == pytest.approx(0.20043034742200053, rel=1e-12)
-
-    @pytest.mark.parametrize("flux", [0.0, -1.0, float("nan")])
-    def test_flux_validation(self, flux):
-        with pytest.raises(ParameterError):
-            instantaneous_estimate(1.0, 0.0, flux)

@@ -8,22 +8,53 @@ from ouphase import (
     ConfigurationError,
     EstimatorParams,
     ExperimentConfig,
+    FeedbackParams,
+    NoiseStream,
     ParameterError,
     ProcessParams,
+    Role,
     SimGrid,
     StatisticsError,
+    apply_estimators,
     compare_schemes,
     filtered_mse,
     optimal_beta,
     optimal_chi,
+    run_adaptive_loop,
+    run_dual_homodyne,
     run_ensemble,
     run_trial,
+    simulate_ou,
     sweep,
 )
+from ouphase.estimators import retained_window
 from ouphase.experiment import default_edge_discard
 
 from conftest import WORKERS
 from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
+
+
+def reference_trial(config, trial_index):
+    """A trial through the detectors' physical models: the feedback loop for
+    the adaptive scheme, both dual-homodyne arms for the dual scheme."""
+    phase, meas1, meas2 = (NoiseStream(config.master_seed, trial_index, role, config.noise_scale)
+                           for role in Role)
+    phi = simulate_ou(config.params, config.grid, phase)
+    if config.scheme == "adaptive":
+        fb = FeedbackParams(config.resolved_beta(), config.omega0, config.phihat0)
+        traj = run_adaptive_loop(phi, config.params, fb, config.grid, meas1)
+        series = traj.phihat if config.estimator.source == "phihat" else traj.theta
+    else:
+        traj = run_dual_homodyne(phi, config.params, config.grid, (meas1, meas2),
+                                 mode=config.dual_mode)
+        series = traj.theta
+    est = apply_estimators(series, config.estimator, config.grid)
+    i0, i1 = retained_window(config.grid, config.resolved_edge_discard())
+    mses = []
+    for s in (est.forward, est.smoothed, est.backward):
+        d = s[i0:i1] - phi[i0:i1]
+        mses.append(float(d @ d / d.size))
+    return mses
 
 
 def make_config(duration=1e-3, dt=2e-8, trials=30, seed=99, chi=CHI_OP, **kwargs):
@@ -68,6 +99,18 @@ class TestConfigValidation:
             make_config(seed=-1)
         with pytest.raises(ParameterError):
             make_config(noise_scale=-1.0)
+
+    def test_feedback_constants_checked_at_construction(self):
+        # the loop does not run for source="theta", so its constants are checked up front
+        beta = optimal_beta(CHI_OP, AP["flux"])
+        for omega0 in (-5.0, beta, 1e9):
+            with pytest.raises(ParameterError, match="0 <= omega0 < beta"):
+                make_config(omega0=omega0)
+        with pytest.raises(ParameterError):
+            make_config(phihat0=float("nan"))
+        assert make_config(omega0=0.0).feedback() == FeedbackParams(beta, 0.0, 0.0)
+        # the dual scheme runs no loop and ignores them
+        assert make_config(scheme="dual_homodyne", beta=None, omega0=-5.0).feedback() is None
 
 
 class TestEdgePolicy:
@@ -122,6 +165,25 @@ class TestRunTrial:
         result = run_trial(cfg, 0)
         assert result.filtered_mse > 0
 
+    @pytest.mark.parametrize("kwargs, exact", [
+        (dict(), False),
+        (dict(estimator=EstimatorParams(CHI_OP, CHI_OP, source="phihat")), True),
+        (dict(scheme="dual_homodyne", beta=None), True),
+        (dict(scheme="dual_homodyne", beta=None, dual_mode="arg"), True),
+    ], ids=["adaptive-theta", "adaptive-phihat", "dual-linearized", "dual-arg"])
+    def test_matches_detector_reference(self, kwargs, exact):
+        # linearized theta from the identity equals the loop's theta to rounding;
+        # every path that still runs a detector is the reference itself
+        cfg = make_config(seed=5, **kwargs)
+        for trial in (0, 7):
+            got = run_trial(cfg, trial)
+            got = [got.filtered_mse, got.smoothed_mse, got.backward_mse]
+            ref = reference_trial(cfg, trial)
+            if exact:
+                assert got == ref
+            else:
+                assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
     def test_pure_diffusion_fixed_init(self):
         params = ProcessParams(kappa=1.6e4, lam=0.0, flux=1.35e6)
         cfg = make_config(params=params)
@@ -133,6 +195,14 @@ class TestRunEnsemble:
     def test_too_few_trials(self):
         with pytest.raises(StatisticsError):
             run_ensemble(make_config(trials=10))
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+    def test_workers_validation(self, workers):
+        cfg = make_config(duration=5e-4)
+        with pytest.raises(ParameterError, match="workers"):
+            run_ensemble(cfg, workers=workers)
+        with pytest.raises(ParameterError, match="workers"):
+            sweep(cfg, "chi", [2e5, 3e5], workers=workers)
 
     def test_report_structure_and_analytics(self):
         cfg = make_config(trials=30)

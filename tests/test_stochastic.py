@@ -69,6 +69,14 @@ class TestNoiseStream:
         with pytest.raises(ParameterError):
             NoiseStream(master_seed=1, scale=-0.5)
 
+    def test_trial_index_fits_the_key(self):
+        # trial_index*8 + role must fit in a uint64 key word
+        last = NoiseStream(master_seed=1, trial_index=2**61 - 1, role=Role.MEASUREMENT_NOISE_2)
+        assert last.key[1] == 2**64 - 8 + 2
+        assert last.normals(3).shape == (3,)
+        with pytest.raises(ParameterError):
+            NoiseStream(master_seed=1, trial_index=2**61)
+
     def test_keys_unique_per_trial_and_role(self):
         keys = {stream(trial=t, role=r).key for t in range(3) for r in Role}
         assert len(keys) == 9
@@ -81,10 +89,17 @@ class TestProcessParams:
         dict(kappa=1.0, lam=-1e-3, flux=1e6),
         dict(kappa=1.0, lam=1.0, flux=0.0),
         dict(kappa=float("nan"), lam=1.0, flux=1e6),
+        dict(kappa=True, lam=1.0, flux=1e6),
+        dict(kappa=1.0, lam=1.0, flux="1e6"),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ParameterError):
             ProcessParams(**kwargs)
+
+    def test_numpy_scalars_accepted_as_floats(self):
+        p = ProcessParams(kappa=np.float32(1.5868e4), lam=np.int64(61451), flux=1.3499e6)
+        assert p.kappa == 15868.0 and type(p.kappa) is float
+        assert p.lam == 61451.0 and type(p.lam) is float
 
     def test_stationary_variance(self, ap_params):
         assert ap_params.stationary_variance == pytest.approx(0.1291109990073392, rel=1e-12)
