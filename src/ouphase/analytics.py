@@ -23,6 +23,7 @@ __all__ = [
     "OptimalChi",
     "ImprovementRatios",
     "effective_flux",
+    "limit_chi",
     "filtered_mse",
     "forward_backward_correlation",
     "combined_mse",
@@ -42,6 +43,12 @@ def effective_flux(params: ProcessParams, scheme: str) -> float:
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme: {scheme!r}")
     return params.flux if scheme == "adaptive" else params.flux / 2.0
+
+
+def limit_chi(params: ProcessParams, scheme: str) -> float:
+    """Limit-form (xi << 1) optimal averaging rate 2*sqrt(kappa*N'), the scale
+    of the averaging rates."""
+    return 2.0 * math.sqrt(params.kappa * effective_flux(params, scheme))
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ def optimal_chi(params: ProcessParams, mode: str, scheme: str = "adaptive") -> O
     n_eff = effective_flux(params, scheme)
     k, lam = params.kappa, params.lam
     if mode == "filtered":
-        chi_star = 2.0 * math.sqrt(k * n_eff) - lam
+        chi_star = limit_chi(params, scheme) - lam
         if chi_star <= 0:
             return OptimalChi(chi_star=0.0, mse_star=k / (2.0 * lam), at_boundary=True)
         return OptimalChi(chi_star=chi_star, mse_star=filtered_mse(params, chi_star, scheme))
@@ -130,7 +137,7 @@ def optimal_chi(params: ProcessParams, mode: str, scheme: str = "adaptive") -> O
         def slope_sign(chi):
             return (chi + lam) ** 3 - 4.0 * k * n_eff * (chi + 3.0 * lam)
 
-        hi = 10.0 * 2.0 * math.sqrt(k * n_eff)
+        hi = 10.0 * limit_chi(params, scheme)
         lo = 1e-12 * hi
         if slope_sign(lo) >= 0:
             # MSE already increasing at chi -> 0: no interior minimum
@@ -158,7 +165,7 @@ def optimal_beta(chi: float, flux: float) -> float:
 def xi(params: ProcessParams) -> float:
     """Dimensionless regime parameter lam/(2*sqrt(kappa*N)); the limit-form
     optima hold for xi << 1."""
-    return params.lam / (2.0 * math.sqrt(params.kappa * params.flux))
+    return params.lam / limit_chi(params, "adaptive")
 
 
 @dataclass(frozen=True)
@@ -178,7 +185,7 @@ class ImprovementRatios:
 
 
 def improvement_ratios(params: ProcessParams) -> ImprovementRatios:
-    chi_lim = 2.0 * math.sqrt(params.kappa * params.flux)
+    chi_lim = limit_chi(params, "adaptive")
     smoothing = filtered_mse(params, chi_lim) / smoothed_mse(params, chi_lim)
     limit_adaptive = math.sqrt(params.kappa / params.flux) / 2.0
     adaptive = sql_mse(params) / limit_adaptive  # the SQL is the limit-form dual optimum

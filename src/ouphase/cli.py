@@ -3,7 +3,8 @@
 Results go to stdout as a human table and, with --out, to CSV or a JSON run
 manifest. Output files contain no wall-clock data, so a fixed seed yields
 byte-identical files across runs and worker counts. Exit codes: 0 success,
-1 parameter/configuration error, 2 statistics error.
+1 parameter/configuration error, 2 statistics error, 3 resource error (out
+of memory, a broken worker pool).
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, fields, replace
+from typing import Callable, NamedTuple
 
 from . import __version__, analytics
 from .errors import ConfigurationError, ParameterError, StatisticsError
@@ -26,35 +29,57 @@ from .experiment import (
 )
 from .stochastic import ProcessParams, SimGrid
 
-__all__ = ["DEFAULTS", "load_config", "emit_results", "RunManifest", "dispatch", "main"]
+__all__ = ["DEFAULTS", "load_config", "emit_results", "build_manifest", "dispatch", "main"]
 
-CSV_HEADER = "scheme,mode,chi,flux,trials,mc_mse,mc_stderr,analytic_mse,z_score"
 
-# Built-in defaults: the headline adaptive operating point, so that a bare
-# `ouphase simulate` demonstrates the filtered/smoothed comparison.
-DEFAULTS = {
-    "kappa": 1.5868e4,
-    "lambda": 6.1451e4,
-    "flux": 1.3499e6,
-    "chi": 2.92714e5,
-    "beta": "auto",
-    "omega0": 1e2,
-    "dt": 2e-8,
-    "duration": 1e-2,
-    "warmup": 0.0,
-    "trials": 200,
-    "seed": 424242,
-    "scheme": "adaptive",
-    "source": "theta",
-    "w_minus": 0.5,
-    "w_plus": 0.5,
-    "edge_discard": "auto",
+def _real(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+def _real_or_auto(raw: str):
+    return "auto" if raw == "auto" else _real(raw)
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(raw: str) -> str:
+        if raw not in options:
+            raise ValueError(raw)
+        return raw
+    return parse
+
+
+class _Key(NamedTuple):
+    default: object
+    parse: Callable[[str], object]  # raw string -> value; ValueError if invalid
+    help: str | None = None
+
+
+# The config-file keys. Each is also a --flag (``_`` -> ``-``) parsed by the
+# same rule. The defaults are the headline adaptive operating point, so that
+# a bare `ouphase simulate` demonstrates the filtered/smoothed comparison.
+_KEYS = {
+    "kappa": _Key(1.5868e4, _real),
+    "lambda": _Key(6.1451e4, _real),
+    "flux": _Key(1.3499e6, _real),
+    "chi": _Key(2.92714e5, _real),
+    "beta": _Key("auto", _real_or_auto, "feedback gain in 1/s, or 'auto'"),
+    "omega0": _Key(1e2, _real),
+    "dt": _Key(2e-8, _real),
+    "duration": _Key(1e-2, _real),
+    "warmup": _Key(0.0, _real),
+    "trials": _Key(200, int),
+    "seed": _Key(424242, int),
+    "scheme": _Key("adaptive", _choice(*analytics.SCHEMES)),
+    "source": _Key("theta", _choice("theta", "phihat")),
+    "w_minus": _Key(0.5, _real),
+    "w_plus": _Key(0.5, _real),
+    "edge_discard": _Key("auto", _real_or_auto, "seconds discarded from both ends, or 'auto'"),
 }
 
-_FLOAT_KEYS = ("kappa", "lambda", "flux", "chi", "omega0", "dt", "duration",
-               "warmup", "w_minus", "w_plus")
-_INT_KEYS = ("trials", "seed")
-_CHOICE_KEYS = {"scheme": ("adaptive", "dual_homodyne"), "source": ("theta", "phihat")}
+DEFAULTS = {key: spec.default for key, spec in _KEYS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,23 +92,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_value(key: str, raw: str):
+    """``raw`` parsed by the rule of config key ``key``, else ParameterError."""
     try:
-        if key in ("beta", "edge_discard") and raw == "auto":
-            return "auto"
-        if key in _FLOAT_KEYS or key in ("beta", "edge_discard"):
-            v = float(raw)
-            if not math.isfinite(v):
-                raise ValueError
-            return v
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _CHOICE_KEYS:
-            if raw not in _CHOICE_KEYS[key]:
-                raise ValueError
-            return raw
+        return _KEYS[key].parse(raw)
     except ValueError:
-        raise ParameterError(f"invalid value for config key {key!r}: {raw!r}") from None
-    raise ParameterError(f"unknown config key: {key}")
+        raise ParameterError(f"invalid value for {key!r}: {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -153,25 +166,15 @@ def load_config(path: str, cli_overrides: dict | None = None) -> ExperimentConfi
 # result emission
 
 
-def _fmt(value: float, field: str) -> str:
+def _cell(field: str, value) -> str:
+    """CSV text of one result field: reals get 9 significant digits and must
+    be finite; text and integers are written as they are."""
+    if isinstance(value, (str, int)):
+        return str(value)
     v = float(value)
     if not math.isfinite(v):
         raise ParameterError(f"non-finite value in emitted field {field!r}")
     return format(v, ".9g")
-
-
-def _condition_row(c: Condition) -> dict:
-    return {
-        "scheme": c.scheme,
-        "mode": c.mode,
-        "chi": float(c.chi),
-        "flux": float(c.flux),
-        "trials": c.trials,
-        "mc_mse": float(c.mc_mse),
-        "mc_stderr": float(c.mc_stderr),
-        "analytic_mse": float(c.analytic_mse),
-        "z_score": float(c.z_score),
-    }
 
 
 def _ordered_conditions(reports) -> list[Condition]:
@@ -180,31 +183,6 @@ def _ordered_conditions(reports) -> list[Condition]:
         for rep in reports:
             rows.extend(c for c in rep.conditions if c.mode == mode)
     return rows
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run: resolved configuration, tool
-    version and seed, plus the per-condition results.
-
-    Emitted files carry a ``"timestamp": null`` key and no wall-clock data,
-    so that a fixed seed produces byte-identical output.
-    """
-
-    version: str
-    master_seed: int
-    config: dict
-    results: list
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "ouphase",
-            "version": self.version,
-            "master_seed": self.master_seed,
-            "timestamp": None,
-            "config": self.config,
-            "results": self.results,
-        }
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -232,39 +210,40 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
-def build_manifest(reports, config: ExperimentConfig | None = None, extra: dict | None = None) -> RunManifest:
+def build_manifest(reports, config: ExperimentConfig | None = None, extra: dict | None = None) -> dict:
+    """The JSON run manifest: everything needed to reproduce a run (resolved
+    configuration, tool version and seed) plus the per-condition results.
+
+    It carries a ``"timestamp": null`` key and no wall-clock data, so that a
+    fixed seed produces byte-identical output.
+    """
     config = config if config is not None else reports[0].config
     echo = _config_echo(config)
     if extra:
         echo.update(extra)
-    return RunManifest(
-        version=__version__,
-        master_seed=config.master_seed,
-        config=echo,
-        results=[_condition_row(c) for c in _ordered_conditions(reports)],
-    )
+    return {
+        "tool": "ouphase",
+        "version": __version__,
+        "master_seed": config.master_seed,
+        "timestamp": None,
+        "config": echo,
+        "results": [asdict(c) for c in _ordered_conditions(reports)],
+    }
 
 
-def emit_results(reports, fmt: str, destination: str, manifest: RunManifest | None = None):
+def emit_results(reports, fmt: str, destination: str, manifest: dict | None = None):
     """Write report conditions to ``destination`` as CSV or JSON manifest."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
+        lines = [",".join(f.name for f in fields(Condition))]
         for c in _ordered_conditions(reports):
-            row = _condition_row(c)
-            lines.append(",".join([
-                row["scheme"], row["mode"],
-                _fmt(row["chi"], "chi"), _fmt(row["flux"], "flux"), str(row["trials"]),
-                _fmt(row["mc_mse"], "mc_mse"), _fmt(row["mc_stderr"], "mc_stderr"),
-                _fmt(row["analytic_mse"], "analytic_mse"), _fmt(row["z_score"], "z_score"),
-            ]))
+            lines.append(",".join(_cell(k, v) for k, v in asdict(c).items()))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         manifest = manifest if manifest is not None else build_manifest(reports)
-        payload = manifest.to_dict()
-        for row in payload["results"]:
-            for field in ("chi", "flux", "mc_mse", "mc_stderr", "analytic_mse", "z_score"):
-                _fmt(row[field], field)  # finiteness guard only; JSON keeps full precision
-        text = json.dumps(payload, indent=2) + "\n"
+        for row in manifest["results"]:
+            for k, v in row.items():
+                _cell(k, v)  # finiteness guard only; JSON keeps full precision
+        text = json.dumps(manifest, indent=2) + "\n"
     else:
         raise ParameterError(f"unknown output format: {fmt!r}")
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -342,14 +321,13 @@ def _cmd_simulate(args) -> int:
 
 def _sweep_values(args, config: ExperimentConfig, axis: str):
     """--values as given or, with --relative, times the axis scale; else a default grid."""
-    p = config.params
     if axis == "chi":
-        scale = 2.0 * math.sqrt(p.kappa * analytics.effective_flux(p, config.scheme))
+        scale = analytics.limit_chi(config.params, config.scheme)
         multiples = (0.3, 0.6, 1.0, 1.8, 3.0)
     else:
-        scale, multiples = p.flux, (1.0, 2.0, 5.0, 10.0)
+        scale, multiples = config.params.flux, (1.0, 2.0, 5.0, 10.0)
     if args.values is not None:
-        multiples = [float(tok) for tok in args.values.split(",") if tok.strip()]
+        multiples = [_parse_value(axis, tok) for tok in args.values.split(",") if tok.strip()]
         if not args.relative:
             return multiples
     return [v * scale for v in multiples]
@@ -369,8 +347,8 @@ def _cmd_sweep(args, axis: str) -> int:
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
     params = config.params
-    chi_ap = 2.0 * math.sqrt(params.kappa * params.flux)
-    chi_dh = 2.0 * math.sqrt(params.kappa * params.flux / 2.0)
+    chi_ap = analytics.limit_chi(params, "adaptive")
+    chi_dh = analytics.limit_chi(params, "dual_homodyne")
     est_ap = replace(config.estimator, chi_minus=chi_ap, chi_plus=chi_ap)
     est_dh = replace(config.estimator, chi_minus=chi_dh, chi_plus=chi_dh, source="theta")
     rep_ap = run_ensemble(
@@ -400,23 +378,8 @@ def _cmd_compare(args) -> int:
 
 def _add_config_flags(parser):
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--lambda", dest="lambda_", type=float)
-    parser.add_argument("--flux", type=float)
-    parser.add_argument("--chi", type=float)
-    parser.add_argument("--beta", help="feedback gain in 1/s, or 'auto'")
-    parser.add_argument("--omega0", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--duration", type=float)
-    parser.add_argument("--warmup", type=float)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--scheme", choices=_CHOICE_KEYS["scheme"])
-    parser.add_argument("--source", choices=_CHOICE_KEYS["source"])
-    parser.add_argument("--w-minus", dest="w_minus", type=float)
-    parser.add_argument("--w-plus", dest="w_plus", type=float)
-    parser.add_argument("--edge-discard", dest="edge_discard",
-                        help="seconds discarded from both ends, or 'auto'")
+    for key, spec in _KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=spec.help)
     parser.add_argument("--dual-mode", dest="dual_mode",
                         choices=("linearized", "arg"), default="linearized")
     parser.add_argument("--workers", type=int, default=1)
@@ -425,19 +388,8 @@ def _add_config_flags(parser):
 
 
 def _cli_values(args) -> dict:
-    raw = {
-        "kappa": args.kappa, "lambda": args.lambda_, "flux": args.flux, "chi": args.chi,
-        "beta": args.beta, "omega0": args.omega0, "dt": args.dt, "duration": args.duration,
-        "warmup": args.warmup, "trials": args.trials, "seed": args.seed,
-        "scheme": args.scheme, "source": args.source,
-        "w_minus": args.w_minus, "w_plus": args.w_plus, "edge_discard": args.edge_discard,
-    }
-    values = {}
-    for key, v in raw.items():
-        if v is None:
-            continue
-        values[key] = _parse_value(key, v) if isinstance(v, str) else v
-    return values
+    return {key: _parse_value(key, getattr(args, key))
+            for key in _KEYS if getattr(args, key) is not None}
 
 
 def _file_values(args) -> dict | None:
@@ -494,6 +446,9 @@ def dispatch(argv) -> int:
     except OSError as exc:
         print(f"ouphase: i/o error: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, BrokenProcessPool) as exc:
+        print(f"ouphase: resource error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -226,6 +226,8 @@ class VarianceReport:
 def _condition(config, mode, chi, samples, analytic) -> Condition:
     mc = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+    if not (math.isfinite(mc) and math.isfinite(stderr)):
+        raise StatisticsError(f"non-finite {mode} ensemble: mean {mc}, stderr {stderr}")
     if stderr == 0.0:
         raise StatisticsError("degenerate ensemble: no variation across trials")
     return Condition(

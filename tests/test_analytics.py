@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ouphase import analytics
 from ouphase import (
     ConfigurationError,
     ParameterError,
@@ -260,6 +261,13 @@ class TestSchemeConsistency:
         for chi in (1e5, CHI_OP, 8e5):
             assert filtered_mse(ap_params, chi, "dual_homodyne") == filtered_mse(halved, chi)
             assert smoothed_mse(ap_params, chi, "dual_homodyne") == smoothed_mse(halved, chi)
+
+    def test_limit_chi_is_exact_rate_scale(self, ap_params):
+        k, n, lam = ap_params.kappa, ap_params.flux, ap_params.lam
+        assert analytics.limit_chi(ap_params, "adaptive") == 2.0 * math.sqrt(k * n)
+        assert analytics.limit_chi(ap_params, "dual_homodyne") == 2.0 * math.sqrt(k * n / 2.0)
+        dual_star = optimal_chi(ap_params, "filtered", "dual_homodyne").chi_star
+        assert dual_star == 2.0 * math.sqrt(k * n / 2.0) - lam
 
     def test_unknown_scheme_rejected(self, ap_params):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -262,6 +263,55 @@ class TestExitCodes:
     def test_missing_config_file_is_one(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("key", list(DEFAULTS))
+    def test_bad_value_is_one_as_flag_and_file_line(self, key, tmp_path, capsys):
+        code, _, err = run(["simulate", f"--{key.replace('_', '-')}", "abc"], capsys)
+        assert code == 1
+        assert "error" in err
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = abc\n")
+        code, _, err = run(["simulate", "--config", str(path)], capsys)
+        assert code == 1
+        assert repr(key) in err
+
+    def test_bad_sweep_value_is_one(self, capsys):
+        code, _, err = run(["sweep-chi", *FAST, "--values", "1,abc"], capsys)
+        assert code == 1
+        assert "'abc'" in err
+
+    def test_non_finite_ensemble_is_two(self, capsys):
+        code, out, err = run(["simulate", "--scheme", "dual_homodyne", "--flux", "1e-310",
+                              "--trials", "30", "--duration", "5e-4"], capsys)
+        assert code == 2
+        assert "statistics error: non-finite" in err
+        assert "inf" not in out
+
+    def test_memory_error_is_three(self, capsys):
+        # 1e15 samples (7 PiB per array): refused at once, nothing is allocated
+        code, _, err = run(["simulate", "--duration", "1e6", "--dt", "1e-9", "--trials", "30"],
+                           capsys)
+        assert code == 3
+        assert "resource error" in err
+
+    def test_broken_pool_is_three(self, monkeypatch, capsys):
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr("ouphase.experiment.ProcessPoolExecutor", BrokenPool)
+        code, _, err = run(["simulate", *FAST, "--workers", "2"], capsys)
+        assert code == 3
+        assert "resource error: a worker died" in err
 
 
 class TestEmitGuards:
