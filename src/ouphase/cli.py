@@ -111,7 +111,10 @@ def _read_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ParameterError(f"{path}:{lineno}: unknown config key: {key}")
-            values[key] = _parse_value(key, raw)
+            try:
+                values[key] = _parse_value(key, raw)
+            except ParameterError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -358,7 +361,7 @@ def _cmd_compare(args) -> int:
         replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh),
         workers=args.workers,
     )
-    gains = compare_schemes([rep_ap, rep_dh])
+    gains = compare_schemes(rep_ap, rep_dh)
     _print_conditions([rep_ap, rep_dh])
     print()
     print(f"{'smoothing_gain':<20} {gains.smoothing_gain:.6g} +- {gains.smoothing_gain_stderr:.3g}")

@@ -1,9 +1,10 @@
 """Measurement layer: feedback homodyne and dual homodyne detection.
 
-Both detectors turn a true-phase trajectory into photocurrent samples and a
-per-sample instantaneous phase estimate. The instantaneous estimate is an
-extremely noisy white series (its per-sample variance diverges as 1/dt); the
-estimators module averages it into useful estimates.
+Both detectors turn a true-phase trajectory into a per-sample instantaneous
+phase estimate theta (the feedback loop also records its photocurrent and
+running estimate). That estimate is an extremely noisy white series (its
+per-sample variance diverges as 1/dt); the estimators module averages it into
+useful estimates.
 
 In the linearized model that estimate is ``linearized_theta`` for both
 detectors: it does not depend on the feedback loop, only on the flux.
@@ -31,8 +32,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeedbackParams:
-    """Feedback loop constants: gain ``beta``, low-pass cutoff ``omega0``
-    (both 1/s) and the initial running estimate ``phihat0`` [rad].
+    """Feedback loop constants: gain ``beta`` and low-pass cutoff ``omega0``
+    (both 1/s). The loop starts from the estimate 0.
 
     The loop operates in the regime omega0 << beta; omega0 >= beta is
     rejected. ``beta*dt < 0.5`` is checked when a run starts.
@@ -40,36 +41,32 @@ class FeedbackParams:
 
     beta: float
     omega0: float = 0.0
-    phihat0: float = 0.0
 
     def __post_init__(self):
         check_real_fields(self, "beta", above=0.0)
-        check_real_fields(self, "omega0", "phihat0")
+        check_real_fields(self, "omega0")
         if not 0 <= self.omega0 < self.beta:
             raise ParameterError("omega0 must satisfy 0 <= omega0 < beta")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-aligned record of one simulated run.
+    """Time-aligned record of one feedback-loop run.
 
     phi     : true phase [rad]
-    current : demodulated photocurrent samples; a single array for the
-              feedback detector, a (plus_arm, minus_arm) pair for dual homodyne
-    phihat  : running feedback estimate [rad] (feedback detector only, else None)
+    current : demodulated photocurrent samples
+    phihat  : running feedback estimate [rad]
     theta   : instantaneous per-sample phase estimate [rad]
     """
 
     grid: SimGrid
     phi: np.ndarray
-    current: np.ndarray | tuple[np.ndarray, np.ndarray]
-    phihat: np.ndarray | None
+    current: np.ndarray
+    phihat: np.ndarray
     theta: np.ndarray
 
     def __post_init__(self):
-        currents = self.current if isinstance(self.current, tuple) else (self.current,)
-        phihat = () if self.phihat is None else (self.phihat,)
-        if any(len(a) != self.grid.n_steps for a in (self.phi, *currents, *phihat, self.theta)):
+        if any(len(a) != self.grid.n_steps for a in (self.phi, self.current, self.phihat, self.theta)):
             raise ParameterError("trajectory arrays must all have grid.n_steps samples")
 
 
@@ -78,13 +75,6 @@ def _check_phi(phi, grid: SimGrid) -> np.ndarray:
     if phi.ndim != 1 or len(phi) != grid.n_steps:
         raise ParameterError(f"phi must be a 1-d array of length {grid.n_steps}")
     return phi
-
-
-def _check_efficiency(efficiency: float) -> float:
-    efficiency = check_real("efficiency", efficiency, above=0.0)
-    if efficiency > 1:
-        raise ParameterError("efficiency must lie in (0, 1]")
-    return efficiency
 
 
 def linearized_theta(phi, dW, flux: float, dt: float) -> np.ndarray:
@@ -108,11 +98,11 @@ def run_adaptive_loop(
     fb: FeedbackParams,
     grid: SimGrid,
     meas_stream: NoiseStream,
-    efficiency: float = 1.0,
 ) -> Trajectory:
     """Closed-loop homodyne run over a given true-phase trajectory.
 
-    Per step k (linearized photocurrent, explicit first-order loop update):
+    Per step k (linearized photocurrent, explicit first-order loop update
+    from phihat[0] = 0):
 
         I[k]        = 2*sqrt(N) * (phi[k] - phihat[k]) + dW[k]/dt
         theta[k]    = phihat[k] + I[k] / (2*sqrt(N))
@@ -124,10 +114,6 @@ def run_adaptive_loop(
 
     This is the detector's physical model; ensembles run it only for
     ``source="phihat"``, since phihat cancels from theta (``linearized_theta``).
-
-    ``efficiency`` scales the detected flux (N -> efficiency*N) in the signal
-    term while the shot noise stays at unit level; the default 1.0 is the
-    ideal detector assumed everywhere else.
     """
     phi = _check_phi(phi, grid)
     n, dt = grid.n_steps, grid.dt
@@ -135,18 +121,15 @@ def run_adaptive_loop(
         raise ConfigurationError(
             f"feedback loop unstable: beta*dt = {fb.beta * dt:.3g} >= 0.5"
         )
-    n_eff = _check_efficiency(efficiency) * params.flux
-    root = 2.0 * math.sqrt(n_eff)
+    root = 2.0 * math.sqrt(params.flux)
 
     dW = wiener_increments(meas_stream, n, dt)
 
     # phihat[k+1] = a*phihat[k] + u[k]  with  a = 1 - (omega0+beta)*dt
     a = 1.0 - (fb.omega0 + fb.beta) * dt
     u = (fb.beta * dt) * phi + (fb.beta / root) * dW
-    phihat = np.empty(n)
-    phihat[0] = fb.phihat0
-    if n > 1:
-        phihat[1:] = lfilter([1.0], [1.0, -a], u[:-1], zi=[a * fb.phihat0])[0]
+    phihat = np.zeros(n)
+    phihat[1:] = lfilter([1.0], [1.0, -a], u[:-1])
 
     current = root * (phi - phihat) + dW / dt
     theta = phihat + current / root
@@ -158,46 +141,29 @@ def run_dual_homodyne(
     params: ProcessParams,
     grid: SimGrid,
     streams: tuple[NoiseStream, NoiseStream],
-    mode: str = "linearized",
-    efficiency: float = 1.0,
-) -> Trajectory:
-    """Static dual-quadrature run: the beam is split so each arm sees flux N/2.
+) -> np.ndarray:
+    """Static dual-quadrature run with full trigonometric demodulation; the
+    beam is split so each arm sees flux N/2. Returns theta:
 
-    linearized mode (default, matching the small-angle analysis):
-        theta[k] = phi[k] + dW2[k] / (dt * 2*sqrt(N/2))
-    arg mode (full trigonometric demodulation):
         I+[k] = 2*sqrt(N/2)*cos(phi[k]) + dW1[k]/dt
         I-[k] = 2*sqrt(N/2)*sin(phi[k]) + dW2[k]/dt
         theta[k] = arg(I+[k] + i*I-[k])   wrapped to (-pi, pi]
 
     No phase unwrapping is performed; at the rms phase amplitudes of
     interest (~0.36 rad) wrapping events are rare but would contaminate
-    variance statistics, which is why linearized is the default.
-
-    This is the detector's physical model; ensembles run it only in arg mode,
-    since linearized theta needs neither current (``linearized_theta``).
+    variance statistics. The small-angle (linearized) dual detector is
+    ``linearized_theta`` at N/2 with the second arm's noise, which is what
+    ensembles run unless ``dual_mode="arg"``.
     """
     phi = _check_phi(phi, grid)
     s1, s2 = streams
     if (s1.master_seed, s1.trial_index, s1.role) == (s2.master_seed, s2.trial_index, s2.role):
         raise ParameterError("dual homodyne requires two independent measurement streams")
-    if mode not in ("linearized", "arg"):
-        raise ParameterError(f"unknown dual homodyne mode: {mode!r}")
 
     n, dt = grid.n_steps, grid.dt
-    n_split = _check_efficiency(efficiency) * params.flux / 2.0
-    amp = 2.0 * math.sqrt(n_split)
-    dW1 = wiener_increments(s1, n, dt)
-    dW2 = wiener_increments(s2, n, dt)
-
-    if mode == "linearized":
-        plus = amp + dW1 / dt
-        minus = amp * phi + dW2 / dt
-        theta = linearized_theta(phi, dW2, n_split, dt)
-    else:
-        plus = amp * np.cos(phi) + dW1 / dt
-        minus = amp * np.sin(phi) + dW2 / dt
-        theta = np.arctan2(minus, plus)
-        theta[theta == -np.pi] = np.pi
-    return Trajectory(grid=grid, phi=phi, current=(plus, minus), phihat=None, theta=theta)
-
+    amp = 2.0 * math.sqrt(params.flux / 2.0)
+    plus = amp * np.cos(phi) + wiener_increments(s1, n, dt) / dt
+    minus = amp * np.sin(phi) + wiener_increments(s2, n, dt) / dt
+    theta = np.arctan2(minus, plus)
+    theta[theta == -np.pi] = np.pi
+    return theta

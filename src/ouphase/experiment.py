@@ -44,11 +44,11 @@ MIN_TRIALS_FOR_STDERR = 30
 class ExperimentConfig:
     """Complete description of one ensemble.
 
-    ``beta`` is "auto" (resolve to sqrt(8*chi*N), adaptive scheme only), a
-    positive number, or None for the dual scheme where no feedback runs.
+    ``beta`` is "auto" (resolve to sqrt(8*chi*N)) or a positive number for the
+    adaptive scheme, and None for the dual scheme, where no feedback runs.
     ``noise_scale`` scales all noise streams and exists for deterministic
-    noise-free runs in tests; production runs leave it at 1. ``omega0`` and
-    ``phihat0`` are checked as ``FeedbackParams`` for the adaptive scheme.
+    noise-free runs in tests; production runs leave it at 1. ``omega0`` is
+    checked as ``FeedbackParams`` for the adaptive scheme.
     """
 
     params: ProcessParams
@@ -57,7 +57,6 @@ class ExperimentConfig:
     scheme: str = "adaptive"
     beta: float | str | None = "auto"
     omega0: float = 100.0
-    phihat0: float = 0.0
     trials: int = 200
     master_seed: int = 424242
     noise_scale: float = 1.0
@@ -72,15 +71,12 @@ class ExperimentConfig:
         check_real_fields(self, "noise_scale", at_least=0.0)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
-        if isinstance(self.beta, str):
-            if self.beta != "auto":
-                raise ParameterError(f"beta must be a number, 'auto' or None, got {self.beta!r}")
-            if self.scheme != "adaptive":
-                raise ParameterError("beta='auto' requires scheme='adaptive'")
+        if self.scheme != "adaptive":
+            if self.beta is not None:
+                raise ParameterError(f"beta applies to the adaptive scheme only, got {self.beta!r}")
         elif self.beta is None:
-            if self.scheme == "adaptive":
-                raise ParameterError("adaptive scheme requires a feedback gain beta")
-        else:
+            raise ParameterError("adaptive scheme requires a feedback gain beta")
+        elif self.beta != "auto":
             check_real_fields(self, "beta", above=0.0)
         if self.scheme != "adaptive" and self.estimator.source == "phihat":
             raise ParameterError("source='phihat' requires the adaptive scheme")
@@ -93,7 +89,7 @@ class ExperimentConfig:
         beta = self.resolved_beta()
         if beta is None:
             return None
-        return FeedbackParams(beta=beta, omega0=self.omega0, phihat0=self.phihat0)
+        return FeedbackParams(beta=beta, omega0=self.omega0)
 
     def resolved_beta(self) -> float | None:
         if self.scheme != "adaptive":
@@ -170,7 +166,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     if config.estimator.source == "phihat":
         source = run_adaptive_loop(phi, params, config.feedback(), grid, meas1).phihat
     elif config.scheme == "dual_homodyne" and config.dual_mode == "arg":
-        source = run_dual_homodyne(phi, params, grid, (meas1, meas2), mode="arg").theta
+        source = run_dual_homodyne(phi, params, grid, (meas1, meas2))
     else:
         meas = meas1 if config.scheme == "adaptive" else meas2
         flux = analytics.effective_flux(params, config.scheme)
@@ -181,14 +177,18 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     i0, i1 = retained_window(grid, config.resolved_edge_discard())
     truth = phi[i0:i1]
 
-    def mse(series):
+    def mse(mode, series):
         d = series[i0:i1] - truth
-        return float(d @ d / d.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(d @ d / d.size)
+        if not math.isfinite(value):
+            raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
+        return value
 
     return TrialResult(
-        filtered_mse=mse(est.forward),
-        smoothed_mse=mse(est.smoothed),
-        backward_mse=mse(est.backward),
+        filtered_mse=mse("filtered", est.forward),
+        smoothed_mse=mse("smoothed", est.smoothed),
+        backward_mse=mse("backward", est.backward),
     )
 
 
@@ -355,39 +355,30 @@ def _ratio(num: Condition, den: Condition) -> tuple[float, float]:
     return r, r * rel
 
 
-def compare_schemes(reports) -> GainComparison:
-    """Four-technique comparison from matched ensemble reports.
+def compare_schemes(adaptive: VarianceReport, dual: VarianceReport) -> GainComparison:
+    """Four-technique comparison from an adaptive and a dual-homodyne report.
 
-    Requires a filtered and a smoothed condition for each scheme among the
-    given reports (first match wins). The total gain is the analytic standard
-    quantum limit of the adaptive report's parameters over the MC smoothed
-    adaptive error.
+    The total gain is the analytic standard quantum limit of the adaptive
+    report's parameters over the MC smoothed adaptive error.
     """
-    found: dict[tuple[str, str], Condition] = {}
-    adaptive_params = None
-    for rep in reports:
-        for cond in rep.conditions:
-            found.setdefault((cond.scheme, cond.mode), cond)
-        if rep.config.scheme == "adaptive" and adaptive_params is None:
-            adaptive_params = rep.config.params
-    needed = [(s, m) for s in analytics.SCHEMES for m in ("filtered", "smoothed")]
-    missing = [key for key in needed if key not in found]
-    if missing:
-        raise ParameterError(f"unmatched conditions for comparison: {missing}")
-
-    ap_f = found[("adaptive", "filtered")]
-    ap_s = found[("adaptive", "smoothed")]
-    dh_f = found[("dual_homodyne", "filtered")]
+    schemes = (adaptive.config.scheme, dual.config.scheme)
+    if schemes != ("adaptive", "dual_homodyne"):
+        raise ParameterError(
+            f"comparison needs an adaptive and a dual_homodyne report, got {schemes}"
+        )
+    ap_f = adaptive.condition("filtered")
+    ap_s = adaptive.condition("smoothed")
+    dh_f = dual.condition("filtered")
 
     smoothing, smoothing_err = _ratio(ap_f, ap_s)
-    adaptive, adaptive_err = _ratio(dh_f, ap_f)
-    sql = analytics.sql_mse(adaptive_params)
+    adaptive_gain, adaptive_err = _ratio(dh_f, ap_f)
+    sql = analytics.sql_mse(adaptive.config.params)
     total = sql / ap_s.mc_mse
     total_err = total * ap_s.mc_stderr / ap_s.mc_mse
     return GainComparison(
         smoothing_gain=smoothing,
         smoothing_gain_stderr=smoothing_err,
-        adaptive_gain=adaptive,
+        adaptive_gain=adaptive_gain,
         adaptive_gain_stderr=adaptive_err,
         total_gain=total,
         total_gain_stderr=total_err,

@@ -273,7 +273,7 @@ class TestExitCodes:
         path.write_text(f"{key} = abc\n")
         code, _, err = run(["simulate", "--config", str(path)], capsys)
         assert code == 1
-        assert repr(key) in err
+        assert f"{path}:1: invalid value for {key!r}" in err
 
     def test_bad_sweep_value_is_one(self, capsys):
         code, _, err = run(["sweep-chi", *FAST, "--values", "1,abc"], capsys)
@@ -281,11 +281,19 @@ class TestExitCodes:
         assert "'abc'" in err
 
     def test_non_finite_ensemble_is_two(self, capsys):
+        # the first trial fails with its own error, before numpy warns of an
+        # overflow (the suite turns RuntimeWarnings into errors)
         code, out, err = run(["simulate", "--scheme", "dual_homodyne", "--flux", "1e-310",
                               "--trials", "30", "--duration", "5e-4"], capsys)
         assert code == 2
-        assert "statistics error: non-finite" in err
+        assert "statistics error: non-finite filtered MSE in trial 0" in err
         assert "inf" not in out
+
+    def test_dual_scheme_numeric_beta_is_one(self, capsys):
+        code, _, err = run(["simulate", *FAST, "--scheme", "dual_homodyne", "--beta", "1e6"],
+                           capsys)
+        assert code == 1
+        assert "beta applies to the adaptive scheme only" in err
 
     def test_memory_error_is_three(self, capsys):
         # 1e15 samples (7 PiB per array): refused at once, nothing is allocated

@@ -17,6 +17,7 @@ from ouphase import (
     run_adaptive_loop,
     run_dual_homodyne,
     simulate_ou,
+    wiener_increments,
 )
 
 from oracles import CHI_OP
@@ -40,8 +41,6 @@ class TestFeedbackParams:
             FeedbackParams(beta=1e5, omega0=-1.0)
         with pytest.raises(ParameterError):
             FeedbackParams(beta=1e5, omega0=1e5)  # must stay below beta
-        with pytest.raises(ParameterError):
-            FeedbackParams(beta=1e5, phihat0=float("inf"))
 
 
 class TestAdaptiveLoop:
@@ -148,29 +147,14 @@ class TestAdaptiveLoop:
         se = math.hypot(first.std(ddof=1) / math.sqrt(5), second.std(ddof=1) / math.sqrt(5))
         assert abs(first.mean() - second.mean()) <= 5 * se
 
-    def test_efficiency_scales_signal_term(self, ap_params):
-        g = SimGrid(dt=2e-8, duration=1e-5)
-        fb = FeedbackParams(beta=BETA_OP)
-        c = 0.1
-        traj = run_adaptive_loop(np.full(g.n_steps, c), ap_params, fb, g, silent(),
-                                 efficiency=0.8)
-        assert traj.current[0] == pytest.approx(2 * math.sqrt(0.8 * ap_params.flux) * c,
-                                                rel=1e-12)
-        with pytest.raises(ParameterError):
-            run_adaptive_loop(np.zeros(g.n_steps), ap_params, fb, g, silent(), efficiency=0.0)
-        with pytest.raises(ParameterError):
-            run_adaptive_loop(np.zeros(g.n_steps), ap_params, fb, g, silent(), efficiency=1.2)
-
 
 class TestDualHomodyne:
     def test_noise_free_arg_recovers_phase(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)
         phi = np.full(g.n_steps, 0.3)
-        traj = run_dual_homodyne(phi, ap_params, g,
-                                 (silent(Role.MEASUREMENT_NOISE), silent(Role.MEASUREMENT_NOISE_2)),
-                                 mode="arg")
-        assert np.allclose(traj.theta, 0.3, rtol=0, atol=1e-12)
-        assert traj.phihat is None
+        theta = run_dual_homodyne(phi, ap_params, g,
+                                  (silent(Role.MEASUREMENT_NOISE), silent(Role.MEASUREMENT_NOISE_2)))
+        assert np.allclose(theta, 0.3, rtol=0, atol=1e-12)
 
     def test_same_stream_rejected(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)
@@ -178,20 +162,12 @@ class TestDualHomodyne:
         with pytest.raises(ParameterError):
             run_dual_homodyne(np.zeros(g.n_steps), ap_params, g, (s, s))
 
-    def test_unknown_mode_rejected(self, ap_params):
-        g = SimGrid(dt=2e-8, duration=1e-5)
-        with pytest.raises(ParameterError):
-            run_dual_homodyne(np.zeros(g.n_steps), ap_params, g,
-                              (noisy(Role.MEASUREMENT_NOISE), noisy(Role.MEASUREMENT_NOISE_2)),
-                              mode="heterodyne")
-
     def test_linearized_noise_floor(self, ap_params):
         # phi = 0: the chi-averaged estimate carries variance chi/(8 Ns) = chi/(4 N)
         g = SimGrid(dt=2e-8, duration=1e-2)
-        traj = run_dual_homodyne(np.zeros(g.n_steps), ap_params, g,
-                                 (noisy(Role.MEASUREMENT_NOISE, seed=41),
-                                  noisy(Role.MEASUREMENT_NOISE_2, seed=41)))
-        filt = causal_exponential_average(traj.theta, CHI_OP, g.dt)
+        dW2 = wiener_increments(noisy(Role.MEASUREMENT_NOISE_2, seed=41), g.n_steps, g.dt)
+        theta = linearized_theta(np.zeros(g.n_steps), dW2, ap_params.flux / 2.0, g.dt)
+        filt = causal_exponential_average(theta, CHI_OP, g.dt)
         stats = empirical_mse(filt, np.zeros(g.n_steps), g, edge_discard=5.0 / CHI_OP,
                               batch_time=30.0 / CHI_OP)
         target = CHI_OP / (4.0 * ap_params.flux)
@@ -200,11 +176,8 @@ class TestDualHomodyne:
     def test_linearized_theta_definition(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)
         phi = simulate_ou(ap_params, g, noisy(Role.PHASE_NOISE))
-        s2 = noisy(Role.MEASUREMENT_NOISE_2)
-        traj = run_dual_homodyne(phi, ap_params, g, (noisy(Role.MEASUREMENT_NOISE), s2))
-        dW2 = s2.normals(g.n_steps) * math.sqrt(g.dt)
+        dW2 = noisy(Role.MEASUREMENT_NOISE_2).normals(g.n_steps) * math.sqrt(g.dt)
         expected = phi + dW2 / (g.dt * 2.0 * math.sqrt(ap_params.flux / 2.0))
-        assert np.array_equal(traj.theta, expected)
         assert np.array_equal(linearized_theta(phi, dW2, ap_params.flux / 2.0, g.dt), expected)
 
     def test_arg_agrees_with_linearized(self, dh_params):
@@ -213,13 +186,12 @@ class TestDualHomodyne:
         g = SimGrid(dt=4e-6, duration=0.8)
         chi = 5e4
         phi = simulate_ou(dh_params, g, noisy(Role.PHASE_NOISE, seed=51))
+        s1, s2 = noisy(Role.MEASUREMENT_NOISE, seed=51), noisy(Role.MEASUREMENT_NOISE_2, seed=51)
+        linearized = linearized_theta(phi, wiener_increments(s2, g.n_steps, g.dt),
+                                      dh_params.flux / 2.0, g.dt)
         mses = []
-        for mode in ("linearized", "arg"):
-            traj = run_dual_homodyne(phi, dh_params, g,
-                                     (noisy(Role.MEASUREMENT_NOISE, seed=51),
-                                      noisy(Role.MEASUREMENT_NOISE_2, seed=51)),
-                                     mode=mode)
-            filt = causal_exponential_average(traj.theta, chi, g.dt)
+        for theta in (linearized, run_dual_homodyne(phi, dh_params, g, (s1, s2))):
+            filt = causal_exponential_average(theta, chi, g.dt)
             stats = empirical_mse(filt, phi, g, edge_discard=5.0 / chi)
             mses.append(stats.mse)
         assert abs(mses[1] / mses[0] - 1.0) < 0.10
@@ -227,9 +199,8 @@ class TestDualHomodyne:
     def test_wrap_range(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)
         phi = np.linspace(-4.0, 4.0, g.n_steps)  # runs outside (-pi, pi]
-        traj = run_dual_homodyne(phi, ap_params, g,
-                                 (silent(Role.MEASUREMENT_NOISE), silent(Role.MEASUREMENT_NOISE_2)),
-                                 mode="arg")
-        assert np.all(traj.theta > -np.pi)
-        assert np.all(traj.theta <= np.pi)
+        theta = run_dual_homodyne(phi, ap_params, g,
+                                  (silent(Role.MEASUREMENT_NOISE), silent(Role.MEASUREMENT_NOISE_2)))
+        assert np.all(theta > -np.pi)
+        assert np.all(theta <= np.pi)
 

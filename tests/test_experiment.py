@@ -26,6 +26,7 @@ from ouphase import (
     run_trial,
     simulate_ou,
     sweep,
+    wiener_increments,
 )
 from ouphase.estimators import retained_window
 from ouphase.experiment import default_edge_discard
@@ -36,18 +37,21 @@ from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
 
 def reference_trial(config, trial_index):
     """A trial through the detectors' physical models: the feedback loop for
-    the adaptive scheme, both dual-homodyne arms for the dual scheme."""
+    the adaptive scheme, both dual-homodyne arms for the dual arg mode, and
+    the explicit small-angle formula at N/2 for the dual linearized mode."""
     phase, meas1, meas2 = (NoiseStream(config.master_seed, trial_index, role, config.noise_scale)
                            for role in Role)
     phi = simulate_ou(config.params, config.grid, phase)
     if config.scheme == "adaptive":
-        fb = FeedbackParams(config.resolved_beta(), config.omega0, config.phihat0)
+        fb = FeedbackParams(config.resolved_beta(), config.omega0)
         traj = run_adaptive_loop(phi, config.params, fb, config.grid, meas1)
         series = traj.phihat if config.estimator.source == "phihat" else traj.theta
+    elif config.dual_mode == "arg":
+        series = run_dual_homodyne(phi, config.params, config.grid, (meas1, meas2))
     else:
-        traj = run_dual_homodyne(phi, config.params, config.grid, (meas1, meas2),
-                                 mode=config.dual_mode)
-        series = traj.theta
+        dt = config.grid.dt
+        dW2 = wiener_increments(meas2, config.grid.n_steps, dt)
+        series = phi + dW2 / (dt * 2.0 * math.sqrt(config.params.flux / 2.0))
     est = apply_estimators(series, config.estimator, config.grid)
     i0, i1 = retained_window(config.grid, config.resolved_edge_discard())
     mses = []
@@ -79,6 +83,12 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             make_config(beta=None)
 
+    def test_dual_scheme_rejects_numeric_beta(self):
+        # the dual scheme runs no feedback loop: only beta=None is accepted
+        for beta in (1e6, 0.5, -1.0, float("nan")):
+            with pytest.raises(ParameterError, match="adaptive scheme only"):
+                make_config(scheme="dual_homodyne", beta=beta)
+
     def test_phihat_source_requires_adaptive(self):
         est = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
         with pytest.raises(ParameterError):
@@ -106,9 +116,7 @@ class TestConfigValidation:
         for omega0 in (-5.0, beta, 1e9):
             with pytest.raises(ParameterError, match="0 <= omega0 < beta"):
                 make_config(omega0=omega0)
-        with pytest.raises(ParameterError):
-            make_config(phihat0=float("nan"))
-        assert make_config(omega0=0.0).feedback() == FeedbackParams(beta, 0.0, 0.0)
+        assert make_config(omega0=0.0).feedback() == FeedbackParams(beta, 0.0)
         # the dual scheme runs no loop and ignores them
         assert make_config(scheme="dual_homodyne", beta=None, omega0=-5.0).feedback() is None
 
@@ -316,7 +324,7 @@ class TestCompareSchemes:
             make_config(duration=1e-3, trials=40, chi=chi_dh, seed=3341,
                         scheme="dual_homodyne", beta=None),
             workers=WORKERS)
-        gains = compare_schemes([rep_ap, rep_dh])
+        gains = compare_schemes(rep_ap, rep_dh)
         assert gains.smoothing_gain == pytest.approx(
             rep_ap.condition("filtered").mc_mse / rep_ap.condition("smoothed").mc_mse, rel=1e-12)
         assert gains.adaptive_gain > 1.2
@@ -327,5 +335,5 @@ class TestCompareSchemes:
 
     def test_unmatched_reports_rejected(self):
         rep_ap = run_ensemble(make_config(duration=5e-4, trials=30), workers=WORKERS)
-        with pytest.raises(ParameterError):
-            compare_schemes([rep_ap])
+        with pytest.raises(ParameterError, match="adaptive and a dual_homodyne"):
+            compare_schemes(rep_ap, rep_ap)
