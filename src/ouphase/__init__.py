@@ -25,7 +25,6 @@ from .detection import (
     run_dual_homodyne,
 )
 from .estimators import (
-    EstimateSeries,
     EstimatorParams,
     MseStats,
     anticausal_exponential_average,
@@ -77,7 +76,6 @@ __all__ = [
     "run_dual_homodyne",
     "linearized_theta",
     "EstimatorParams",
-    "EstimateSeries",
     "MseStats",
     "causal_exponential_average",
     "anticausal_exponential_average",

@@ -337,7 +337,7 @@ def _sweep_values(args, config: ExperimentConfig, axis: str):
 
 
 def _cmd_sweep(args, axis: str) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, per_point_beta=True)
     values = _sweep_values(args, config, axis)
     reports = sweep(config, axis, values, workers=args.workers)
     _print_conditions(reports)
@@ -348,7 +348,7 @@ def _cmd_sweep(args, axis: str) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, per_point_beta=True, dual_mode="linearized")
     params = config.params
     chi_ap = analytics.limit_chi(params, "adaptive")
     chi_dh = analytics.limit_chi(params, "dual_homodyne")
@@ -358,7 +358,7 @@ def _cmd_compare(args) -> int:
         replace(config, scheme="adaptive", beta="auto", estimator=est_ap), workers=args.workers
     )
     rep_dh = run_ensemble(
-        replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh),
+        replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh, dual_mode=args.dual_mode),
         workers=args.workers,
     )
     gains = compare_schemes(rep_ap, rep_dh)
@@ -369,7 +369,8 @@ def _cmd_compare(args) -> int:
     print(f"{'total_gain':<20} {gains.total_gain:.6g} +- {gains.total_gain_stderr:.3g}")
     print(f"{'sql_mse':<20} {analytics.sql_mse(params):.9g}")
     if args.out:
-        extra = {"compare_chi_adaptive": chi_ap, "compare_chi_dual": chi_dh}
+        extra = {"dual_mode": args.dual_mode,
+                 "compare_chi_adaptive": chi_ap, "compare_chi_dual": chi_dh}
         emit_results([rep_ap, rep_dh], args.format, args.out,
                      build_manifest([rep_ap, rep_dh], rep_ap.config, extra))
     return 0
@@ -399,9 +400,14 @@ def _file_values(args) -> dict | None:
     return _read_config_file(args.config) if args.config else None
 
 
-def _config_from_args(args) -> ExperimentConfig:
+def _config_from_args(args, per_point_beta: bool = False, dual_mode: str | None = None):
+    """The run's ExperimentConfig. ``per_point_beta``: the command sets beta
+    from chi at every point, so a numeric beta (flag or file) is an error."""
     values, explicit = _merge_values(_file_values(args), _cli_values(args))
-    return _build_config(values, explicit, dual_mode=args.dual_mode)
+    if per_point_beta and values["beta"] != "auto":
+        raise ParameterError(f"{args.command} sets beta from chi at every point: "
+                             f"beta must be 'auto', got {values['beta']!r}")
+    return _build_config(values, explicit, dual_mode=dual_mode or args.dual_mode)
 
 
 def build_parser() -> _Parser:

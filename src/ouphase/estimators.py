@@ -20,7 +20,6 @@ from .stochastic import SimGrid
 
 __all__ = [
     "EstimatorParams",
-    "EstimateSeries",
     "MseStats",
     "causal_exponential_average",
     "anticausal_exponential_average",
@@ -64,19 +63,6 @@ def check_rates_and_weights(obj):
     check_real_fields(obj, "w_minus", "w_plus")
     if abs(obj.w_minus + obj.w_plus - 1.0) > WEIGHT_SUM_TOL:
         raise ParameterError("w_minus + w_plus must sum to 1")
-
-
-@dataclass(frozen=True)
-class EstimateSeries:
-    """Forward, backward and smoothed estimate series on a common grid.
-
-    ``smoothed == w_minus*forward + w_plus*backward`` by construction.
-    """
-
-    grid: SimGrid
-    forward: np.ndarray
-    backward: np.ndarray
-    smoothed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,12 +120,11 @@ def combine_smoothed(forward, backward, params: EstimatorParams) -> np.ndarray:
     return params.w_minus * f + params.w_plus * b
 
 
-def apply_estimators(series, params: EstimatorParams, grid: SimGrid) -> EstimateSeries:
-    """Run all three estimators over one input series."""
-    forward = causal_exponential_average(series, params.chi_minus, grid.dt)
-    backward = anticausal_exponential_average(series, params.chi_plus, grid.dt)
-    smoothed = combine_smoothed(forward, backward, params)
-    return EstimateSeries(grid=grid, forward=forward, backward=backward, smoothed=smoothed)
+def apply_estimators(series, params: EstimatorParams, grid: SimGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (forward, backward) averages of one input series, at rates chi_minus
+    and chi_plus; ``combine_smoothed`` forms the smoothed estimate from them."""
+    return (causal_exponential_average(series, params.chi_minus, grid.dt),
+            anticausal_exponential_average(series, params.chi_plus, grid.dt))
 
 
 def retained_window(grid: SimGrid, edge_discard: float) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from . import analytics
 from .detection import FeedbackParams, linearized_theta, run_adaptive_loop, run_dual_homodyne
 from .errors import ConfigurationError, ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
-from .estimators import EstimatorParams, apply_estimators, retained_window
+from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
 from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
 
@@ -48,7 +48,8 @@ class ExperimentConfig:
     adaptive scheme, and None for the dual scheme, where no feedback runs.
     ``noise_scale`` scales all noise streams and exists for deterministic
     noise-free runs in tests; production runs leave it at 1. ``omega0`` is
-    checked as ``FeedbackParams`` for the adaptive scheme.
+    checked as ``FeedbackParams`` for the adaptive scheme. ``dual_mode``, the
+    dual detector's model, is "linearized" or (dual scheme only) "arg".
     """
 
     params: ProcessParams
@@ -71,6 +72,8 @@ class ExperimentConfig:
         check_real_fields(self, "noise_scale", at_least=0.0)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
+        if self.scheme == "adaptive" and self.dual_mode != "linearized":
+            raise ParameterError(f"dual_mode applies to the dual_homodyne scheme only: {self.dual_mode!r}")
         if self.scheme != "adaptive":
             if self.beta is not None:
                 raise ParameterError(f"beta applies to the adaptive scheme only, got {self.beta!r}")
@@ -80,7 +83,10 @@ class ExperimentConfig:
             check_real_fields(self, "beta", above=0.0)
         if self.scheme != "adaptive" and self.estimator.source == "phihat":
             raise ParameterError("source='phihat' requires the adaptive scheme")
-        # fail early on bad loop constants, an unstable loop or an over-long edge discard
+        # fail early on too coarse a grid for either rate, bad loop constants,
+        # an unstable loop or an over-long edge discard
+        for chi in (self.estimator.chi_minus, self.estimator.chi_plus):
+            _check_rate(chi, self.grid.dt)
         self.feedback()
         self.resolved_edge_discard()
 
@@ -156,6 +162,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
     may run in any order or in parallel without changing any result. Linearized
     theta comes from ``linearized_theta``: the feedback loop runs only for
     ``source="phihat"``, and dual homodyne only in arg mode.
+
+    No smoothed series is built: its MSE is the quadratic form
+    w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
+    the forward and backward errors. Per sample this differs from the direct
+    smoothed error by at most |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
     """
     streams = [NoiseStream(config.master_seed, trial_index, r, config.noise_scale) for r in Role]
     phase, meas1, meas2 = streams  # Role order: phase, first and second measurement noise
@@ -165,7 +176,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
     if config.estimator.source == "phihat":
         source = run_adaptive_loop(phi, params, config.feedback(), grid, meas1).phihat
-    elif config.scheme == "dual_homodyne" and config.dual_mode == "arg":
+    elif config.dual_mode == "arg":  # the dual scheme only
         source = run_dual_homodyne(phi, params, grid, (meas1, meas2))
     else:
         meas = meas1 if config.scheme == "adaptive" else meas2
@@ -173,23 +184,21 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
         # dW is not bound to a name, so it is freed before the estimators run
         source = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt), flux, grid.dt)
 
-    est = apply_estimators(source, config.estimator, grid)
+    forward, backward = apply_estimators(source, config.estimator, grid)
     i0, i1 = retained_window(grid, config.resolved_edge_discard())
-    truth = phi[i0:i1]
-
-    def mse(mode, series):
-        d = series[i0:i1] - truth
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(d @ d / d.size)
+    f, b = forward[i0:i1], backward[i0:i1]
+    wm, wp = config.estimator.w_minus, config.estimator.w_plus
+    with np.errstate(over="ignore", invalid="ignore"):
+        f -= phi[i0:i1]
+        b -= phi[i0:i1]
+        # einsum's own loop, not BLAS: a BLAS dot would start its worker threads
+        ff, bb, fb = (float(np.einsum("i,i->", x, y)) / f.size for x, y in ((f, f), (b, b), (f, b)))
+    mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
+            "backward": bb}
+    for mode, value in mses.items():
         if not math.isfinite(value):
             raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
-        return value
-
-    return TrialResult(
-        filtered_mse=mse("filtered", est.forward),
-        smoothed_mse=mse("smoothed", est.smoothed),
-        backward_mse=mse("backward", est.backward),
-    )
+    return TrialResult(mses["filtered"], mses["smoothed"], mses["backward"])
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,9 @@ def wiener_increments(stream: NoiseStream, n: int, dt: float) -> np.ndarray:
     Pure function of the stream identity: calling twice returns
     bit-identical arrays. ``dt = 0`` returns exact zeros.
     """
-    return stream.normals(n) * math.sqrt(check_real("dt", dt, at_least=0.0))
+    dW = stream.normals(n)
+    dW *= math.sqrt(check_real("dt", dt, at_least=0.0))
+    return dW
 
 
 def simulate_ou(
@@ -145,8 +147,8 @@ def simulate_ou(
     Uses the exact one-step transition
         phi[k+1] = phi[k] * exp(-lam*dt) + sqrt(kappa*(1 - exp(-2*lam*dt))/(2*lam)) * z[k]
     so the sampled law has no discretization bias at any dt. For lam = 0 the
-    degenerate pure-diffusion update phi[k+1] = phi[k] + sqrt(kappa)*dV[k]
-    is used and only a fixed initial value is allowed.
+    same recursion runs with its limits, decay 1 and step sd sqrt(kappa*dt)
+    (pure diffusion), and only a fixed initial value is allowed.
 
     ``init`` is either the string "stationary" (draw phi[0] from the
     stationary Gaussian of variance kappa/(2*lam)) or a number.
@@ -161,17 +163,12 @@ def simulate_ou(
     else:
         init = check_real("fixed init", init)
 
-    z = stream.normals(n)  # z[0] seeds the initial condition in stationary mode
-
-    if params.lam == 0:
-        phi = np.empty(n)
-        phi[0] = init
-        np.cumsum(math.sqrt(params.kappa * dt) * z[1:], out=phi[1:])
-        phi[1:] += phi[0]
-        return phi
-
-    decay = math.exp(-params.lam * dt)
-    step_sd = math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * params.lam * dt)) / (2.0 * params.lam))
-    x = step_sd * z
-    x[0] = math.sqrt(params.stationary_variance) * z[0] if stationary else init
+    lam = params.lam
+    decay = math.exp(-lam * dt)  # 1 for pure diffusion
+    step_sd = (math.sqrt(params.kappa * dt) if lam == 0 else
+               math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam)))
+    x = stream.normals(n)  # x[0] seeds the initial condition in stationary mode
+    x0 = math.sqrt(params.stationary_variance) * x[0] if stationary else init
+    x *= step_sd
+    x[0] = x0
     return lfilter([1.0], [1.0, -decay], x)

@@ -10,7 +10,6 @@ the continuous-time formulas.
 import filecmp
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

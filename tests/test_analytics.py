@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ouphase import analytics
 from ouphase import (
-    ConfigurationError,
     ParameterError,
     ProcessParams,
     TheoryPoint,

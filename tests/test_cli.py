@@ -143,6 +143,15 @@ class TestSweepCommands:
         assert modes == ["filtered", "filtered", "smoothed", "smoothed"]
         assert chis[0] < chis[1] and chis[2] < chis[3]
 
+    def test_sweep_beta_auto_flag_and_file_match_unset(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("beta = auto\n")
+        argv = ["sweep-chi", *FAST, "--values", "1", "--relative"]
+        outputs = [run(argv + extra, capsys)[:2]
+                   for extra in ([], ["--beta", "auto"], ["--config", str(path)])]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_sweep_chi_relative_values(self, capsys):
         code, out, _ = run(["sweep-chi", *FAST, "--values", "0.8,1.2", "--relative"], capsys)
         assert code == 0
@@ -295,6 +304,22 @@ class TestExitCodes:
         assert code == 1
         assert "beta applies to the adaptive scheme only" in err
 
+    def test_adaptive_arg_mode_is_one(self, capsys):
+        code, _, err = run(["simulate", *FAST, "--dual-mode", "arg"], capsys)
+        assert code == 1
+        assert "dual_mode applies to the dual_homodyne scheme only" in err
+
+    @pytest.mark.parametrize("command", ["sweep-chi", "sweep-flux", "compare"])
+    def test_per_point_beta_commands_reject_numeric_beta(self, command, tmp_path, capsys):
+        # these commands set beta from chi at every point; a fixed beta would be ignored
+        path = tmp_path / "run.cfg"
+        path.write_text("beta = 3e6\n")
+        for args in (["--beta", "3e6"], ["--config", str(path)]):
+            code, out, err = run([command, *FAST, *args], capsys)
+            assert code == 1
+            assert f"{command} sets beta from chi at every point" in err
+            assert out == ""
+
     def test_memory_error_is_three(self, capsys):
         # 1e15 samples (7 PiB per array): refused at once, nothing is allocated
         code, _, err = run(["simulate", "--duration", "1e6", "--dt", "1e-9", "--trials", "30"],
@@ -364,3 +389,10 @@ class TestCompareCommand:
         assert "dual_homodyne" in out
         assert "smoothing_gain" in out
         assert "total_gain" in out
+
+    def test_dual_mode_applies_to_dual_ensemble(self, tmp_path, capsys):
+        dest = tmp_path / "compare.json"
+        code, _, _ = run(["compare", *FAST, "--dual-mode", "arg", "--format", "json",
+                          "--out", str(dest)], capsys)
+        assert code == 0
+        assert json.loads(dest.read_text())["config"]["dual_mode"] == "arg"

@@ -8,7 +8,6 @@ from ouphase import (
     FeedbackParams,
     NoiseStream,
     ParameterError,
-    ProcessParams,
     Role,
     SimGrid,
     causal_exponential_average,

@@ -160,10 +160,11 @@ class TestApplyEstimators:
         g = SimGrid(dt=1e-6, duration=4e-3)
         x = rng(9).normal(size=g.n_steps)
         params = EstimatorParams(2e3, 3e3, w_minus=0.3, w_plus=0.7)
-        est = apply_estimators(x, params, g)
-        assert np.array_equal(est.smoothed, 0.3 * est.forward + 0.7 * est.backward)
-        assert np.array_equal(est.forward, causal_exponential_average(x, 2e3, g.dt))
-        assert np.array_equal(est.backward, anticausal_exponential_average(x, 3e3, g.dt))
+        forward, backward = apply_estimators(x, params, g)
+        assert np.array_equal(forward, causal_exponential_average(x, 2e3, g.dt))
+        assert np.array_equal(backward, anticausal_exponential_average(x, 3e3, g.dt))
+        smoothed = combine_smoothed(forward, backward, params)
+        assert np.array_equal(smoothed, 0.3 * forward + 0.7 * backward)
 
 
 class TestEmpiricalMse:
@@ -225,7 +226,7 @@ class TestSourceChoice:
             params = EstimatorParams(CHI_OP, CHI_OP)
             mses = {}
             for name, series in (("theta", traj.theta), ("phihat", traj.phihat)):
-                est = apply_estimators(series, params, g)
-                mses[name] = empirical_mse(est.smoothed, phi, g, edge).mse
+                smoothed = combine_smoothed(*apply_estimators(series, params, g), params)
+                mses[name] = empirical_mse(smoothed, phi, g, edge).mse
             ratios.append(mses["phihat"] / mses["theta"])
         assert abs(np.mean(ratios) - 1.0) < 0.05

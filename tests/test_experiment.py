@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from ouphase import (
     SimGrid,
     StatisticsError,
     apply_estimators,
+    combine_smoothed,
     compare_schemes,
     filtered_mse,
     optimal_beta,
@@ -35,10 +37,11 @@ from conftest import WORKERS
 from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
 
 
-def reference_trial(config, trial_index):
-    """A trial through the detectors' physical models: the feedback loop for
-    the adaptive scheme, both dual-homodyne arms for the dual arg mode, and
-    the explicit small-angle formula at N/2 for the dual linearized mode."""
+def reference_series(config, trial_index):
+    """(phi, estimator input) of a trial through the detectors' physical
+    models: the feedback loop for the adaptive scheme, both dual-homodyne arms
+    for the dual arg mode, and the explicit small-angle formula at N/2 for
+    the dual linearized mode."""
     phase, meas1, meas2 = (NoiseStream(config.master_seed, trial_index, role, config.noise_scale)
                            for role in Role)
     phi = simulate_ou(config.params, config.grid, phase)
@@ -52,13 +55,22 @@ def reference_trial(config, trial_index):
         dt = config.grid.dt
         dW2 = wiener_increments(meas2, config.grid.n_steps, dt)
         series = phi + dW2 / (dt * 2.0 * math.sqrt(config.params.flux / 2.0))
-    est = apply_estimators(series, config.estimator, config.grid)
+    return phi, series
+
+
+def reference_trial(config, trial_index):
+    """The three MSEs of ``reference_series``."""
+    phi, series = reference_series(config, trial_index)
+    forward, backward = apply_estimators(series, config.estimator, config.grid)
     i0, i1 = retained_window(config.grid, config.resolved_edge_discard())
-    mses = []
-    for s in (est.forward, est.smoothed, est.backward):
-        d = s[i0:i1] - phi[i0:i1]
-        mses.append(float(d @ d / d.size))
-    return mses
+    # series -> MSEs by the moment rule: errors in place over the window (the
+    # backward one a reversed view), smoothed from the forward/backward moments
+    f, b = forward[i0:i1], backward[i0:i1]
+    f -= phi[i0:i1]
+    b -= phi[i0:i1]
+    ff, bb, fb = (float(np.einsum("i,i->", x, y)) / f.size for x, y in ((f, f), (b, b), (f, b)))
+    wm, wp = config.estimator.w_minus, config.estimator.w_plus
+    return [ff, wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb, bb]
 
 
 def make_config(duration=1e-3, dt=2e-8, trials=30, seed=99, chi=CHI_OP, **kwargs):
@@ -88,6 +100,18 @@ class TestConfigValidation:
         for beta in (1e6, 0.5, -1.0, float("nan")):
             with pytest.raises(ParameterError, match="adaptive scheme only"):
                 make_config(scheme="dual_homodyne", beta=beta)
+
+    def test_adaptive_scheme_rejects_arg_mode(self):
+        # arg mode is a dual-homodyne detector model; the adaptive scheme has none
+        with pytest.raises(ParameterError, match="dual_homodyne scheme only"):
+            make_config(dual_mode="arg")
+        assert make_config(scheme="dual_homodyne", beta=None, dual_mode="arg").dual_mode == "arg"
+
+    def test_coarse_grid_rejected_at_construction(self):
+        # chi*dt >= 0.5 for either rate fails when the config is built, not in a trial
+        for chi_minus, chi_plus in ((3e7, CHI_OP), (CHI_OP, 3e7)):
+            with pytest.raises(ConfigurationError, match="grid too coarse"):
+                make_config(estimator=EstimatorParams(chi_minus, chi_plus))
 
     def test_phihat_source_requires_adaptive(self):
         est = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
@@ -191,6 +215,36 @@ class TestRunTrial:
                 assert got == ref
             else:
                 assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("scheme, beta", [("adaptive", "auto"), ("dual_homodyne", None)])
+    def test_moments_match_direct_smoothed_error(self, scheme, beta):
+        # unequal rates and weights: the moment form against the smoothed series itself
+        est = EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7)
+        cfg = make_config(seed=5, estimator=est, scheme=scheme, beta=beta)
+        i0, i1 = retained_window(cfg.grid, cfg.resolved_edge_discard())
+        for trial in (0, 7):
+            phi, series = reference_series(cfg, trial)
+            forward, backward = apply_estimators(series, est, cfg.grid)
+            smoothed = combine_smoothed(forward, backward, est)
+            direct = [float(np.mean((s[i0:i1] - phi[i0:i1]) ** 2))
+                      for s in (forward, smoothed, backward)]
+            got = run_trial(cfg, trial)
+            got = [got.filtered_mse, got.smoothed_mse, got.backward_mse]
+            assert got == pytest.approx(direct, rel=1e-12, abs=0)
+
+    def test_peak_memory_is_four_arrays(self):
+        # phi, theta, forward and backward: no smoothed series, no error copies
+        cfg = make_config()
+        run_trial(cfg, 0)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_trial(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * cfg.grid.n_steps
 
     def test_pure_diffusion_fixed_init(self):
         params = ProcessParams(kappa=1.6e4, lam=0.0, flux=1.35e6)

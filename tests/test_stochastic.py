@@ -15,8 +15,6 @@ from ouphase import (
     wiener_increments,
 )
 
-from oracles import AP
-
 
 def stream(seed=11, trial=0, role=Role.PHASE_NOISE, scale=1.0):
     return NoiseStream(master_seed=seed, trial_index=trial, role=role, scale=scale)
@@ -154,6 +152,17 @@ class TestSimulateOu:
         ])
         target = params.kappa * (g.n_steps - 1) * g.dt
         assert finals.var(ddof=1) == pytest.approx(target, rel=0.05)
+
+    def test_pure_diffusion_is_cumulative_sum(self):
+        # lam = 0 runs the OU recursion at decay 1: from 0 it is the running sum, bit for bit
+        params = ProcessParams(kappa=1.6e4, lam=0.0, flux=1e6)
+        g = SimGrid(dt=2e-8, duration=1e-4)
+        s = stream(seed=5)
+        ref = np.zeros(g.n_steps)
+        ref[1:] = np.cumsum(math.sqrt(params.kappa * g.dt) * s.normals(g.n_steps)[1:])
+        assert np.array_equal(simulate_ou(params, g, s, init=0.0), ref)
+        # a non-zero start adds in at the first step, not at the end: rounding level only
+        assert np.allclose(simulate_ou(params, g, s, init=0.3), ref + 0.3, rtol=0, atol=1e-14)
 
     def test_stationary_variance_long_run(self, ap_params):
         g = SimGrid(dt=1e-7, duration=5e-2)
