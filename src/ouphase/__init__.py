@@ -55,7 +55,9 @@ from .experiment import (
     VarianceReport,
     compare_schemes,
     run_ensemble,
+    run_ensembles,
     run_trial,
+    run_trials,
     sweep,
 )
 
@@ -100,7 +102,9 @@ __all__ = [
     "VarianceReport",
     "GainComparison",
     "run_trial",
+    "run_trials",
     "run_ensemble",
+    "run_ensembles",
     "sweep",
     "compare_schemes",
 ]

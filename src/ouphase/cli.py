@@ -25,6 +25,7 @@ from .experiment import (
     ExperimentConfig,
     compare_schemes,
     run_ensemble,
+    run_ensembles,
     sweep,
 )
 from .stochastic import ProcessParams, SimGrid
@@ -354,11 +355,10 @@ def _cmd_compare(args) -> int:
     chi_dh = analytics.limit_chi(params, "dual_homodyne")
     est_ap = replace(config.estimator, chi_minus=chi_ap, chi_plus=chi_ap)
     est_dh = replace(config.estimator, chi_minus=chi_dh, chi_plus=chi_dh, source="theta")
-    rep_ap = run_ensemble(
-        replace(config, scheme="adaptive", beta="auto", estimator=est_ap), workers=args.workers
-    )
-    rep_dh = run_ensemble(
-        replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh, dual_mode=args.dual_mode),
+    rep_ap, rep_dh = run_ensembles(
+        [replace(config, scheme="adaptive", beta="auto", estimator=est_ap),
+         replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh,
+                 dual_mode=args.dual_mode)],
         workers=args.workers,
     )
     gains = compare_schemes(rep_ap, rep_dh)
@@ -380,15 +380,16 @@ def _cmd_compare(args) -> int:
 # argument plumbing
 
 
-def _add_config_flags(parser):
+def _add_config_flags(parser, runs: bool):
     parser.add_argument("--config", metavar="PATH", help="flat key=value config file")
     for key, spec in _KEYS.items():
         parser.add_argument("--" + key.replace("_", "-"), dest=key, help=spec.help)
-    parser.add_argument("--dual-mode", dest="dual_mode",
-                        choices=("linearized", "arg"), default="linearized")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", metavar="PATH")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if runs:  # analytic simulates nothing and writes JSON only
+        parser.add_argument("--dual-mode", dest="dual_mode",
+                            choices=("linearized", "arg"), default="linearized")
+        parser.add_argument("--workers", type=int, default=1)
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _cli_values(args) -> dict:
@@ -422,7 +423,7 @@ def build_parser() -> _Parser:
         ("compare", "four-technique comparison: filtered/smoothed x adaptive/dual"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p)
+        _add_config_flags(p, runs=name != "analytic")
         if name.startswith("sweep"):
             p.add_argument("--values", help="comma-separated sweep values")
             p.add_argument("--relative", action="store_true",

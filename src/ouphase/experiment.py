@@ -10,6 +10,7 @@ sample, the ensemble reports their mean and standard error.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -31,13 +32,16 @@ __all__ = [
     "VarianceReport",
     "GainComparison",
     "run_trial",
+    "run_trials",
     "run_ensemble",
+    "run_ensembles",
     "sweep",
     "compare_schemes",
     "default_edge_discard",
 ]
 
 MIN_TRIALS_FOR_STDERR = 30
+TRIAL_CHUNK = 8  # trial indices per pool task
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in analytics.SCHEMES:
             raise ParameterError(f"unknown scheme: {self.scheme!r}")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
         check_index("master_seed", self.master_seed, SEED_BITS)
         check_real_fields(self, "noise_scale", at_least=0.0)
@@ -156,49 +160,80 @@ class TrialResult:
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
-    """Simulate one trial and return its three MSE samples.
+    """One trial's three MSE samples: ``run_trials`` with one config."""
+    return run_trials([config], trial_index)[0]
 
-    Deterministic in (config.master_seed, trial_index); trials of an ensemble
-    may run in any order or in parallel without changing any result. Linearized
-    theta comes from ``linearized_theta``: the feedback loop runs only for
-    ``source="phihat"``, and dual homodyne only in arg mode.
+
+def _check_shared(configs) -> list[ExperimentConfig]:
+    """``configs`` as a list, if it is not empty and its configs can share trials."""
+    configs = list(configs)
+    shared = {(c.params.kappa, c.params.lam, c.grid, c.trials, c.master_seed, c.noise_scale)
+              for c in configs}
+    if len(shared) != 1:
+        raise ParameterError("need one or more configs that agree in kappa, lambda, "
+                             "grid, trials, seed and noise_scale")
+    return configs
+
+
+def run_trials(configs, trial_index: int) -> list[TrialResult]:
+    """One trial index under configs that share its draws (they must agree in
+    kappa, lambda, grid, trials, seed and noise scale); result ``k`` is
+    configs[k]'s three MSE samples.
+
+    Deterministic in (master_seed, trial_index); trials of an ensemble may run
+    in any order or in parallel without changing any result. phi is drawn
+    once. Linearized theta (``linearized_theta``) is built once for each
+    consecutive run of configs with the same (scheme, N'); the feedback loop
+    (``source="phihat"``) and the dual arg model run once per config.
 
     No smoothed series is built: its MSE is the quadratic form
     w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
     the forward and backward errors. Per sample this differs from the direct
     smoothed error by at most |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
     """
-    streams = [NoiseStream(config.master_seed, trial_index, r, config.noise_scale) for r in Role]
-    phase, meas1, meas2 = streams  # Role order: phase, first and second measurement noise
-    params, grid = config.params, config.grid
-    init = "stationary" if params.lam > 0 else 0.0
-    phi = simulate_ou(params, grid, phase, init=init)
+    configs = _check_shared(configs)
+    c0 = configs[0]
+    phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r, c0.noise_scale) for r in Role)
+    grid = c0.grid
+    phi = simulate_ou(c0.params, grid, phase, init="stationary" if c0.params.lam > 0 else 0.0)
 
-    if config.estimator.source == "phihat":
-        source = run_adaptive_loop(phi, params, config.feedback(), grid, meas1).phihat
-    elif config.dual_mode == "arg":  # the dual scheme only
-        source = run_dual_homodyne(phi, params, grid, (meas1, meas2))
-    else:
-        meas = meas1 if config.scheme == "adaptive" else meas2
-        flux = analytics.effective_flux(params, config.scheme)
-        # dW is not bound to a name, so it is freed before the estimators run
-        source = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt), flux, grid.dt)
-
-    forward, backward = apply_estimators(source, config.estimator, grid)
-    i0, i1 = retained_window(grid, config.resolved_edge_discard())
-    f, b = forward[i0:i1], backward[i0:i1]
-    wm, wp = config.estimator.w_minus, config.estimator.w_plus
-    with np.errstate(over="ignore", invalid="ignore"):
-        f -= phi[i0:i1]
-        b -= phi[i0:i1]
-        # einsum's own loop, not BLAS: a BLAS dot would start its worker threads
-        ff, bb, fb = (float(np.einsum("i,i->", x, y)) / f.size for x, y in ((f, f), (b, b), (f, b)))
-    mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
-            "backward": bb}
-    for mode, value in mses.items():
-        if not math.isfinite(value):
-            raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
-    return TrialResult(mses["filtered"], mses["smoothed"], mses["backward"])
+    results, held, source = [], None, None
+    for config in configs:
+        # the previous config's errors go before this one's arrays are built;
+        # the last config's go at return, after phi and source (freed before
+        # them, they leave one more array per trial to fault in again)
+        f = b = None
+        flux = analytics.effective_flux(config.params, config.scheme)
+        per_config = config.estimator.source == "phihat" or config.dual_mode == "arg"
+        key = None if per_config else (config.scheme, flux)
+        if key is None or key != held:
+            source = None  # free the previous input before building this one
+            if config.estimator.source == "phihat":
+                source = run_adaptive_loop(phi, config.params, config.feedback(), grid, meas1).phihat
+            elif config.dual_mode == "arg":  # the dual scheme only
+                source = run_dual_homodyne(phi, config.params, grid, (meas1, meas2))
+            else:
+                meas = meas1 if config.scheme == "adaptive" else meas2
+                # dW is not bound to a name, so it is freed before the estimators run
+                source = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt),
+                                          flux, grid.dt)
+        held = key
+        i0, i1 = retained_window(grid, config.resolved_edge_discard())
+        f, b = (x[i0:i1] for x in apply_estimators(source, config.estimator, grid))
+        wm, wp = config.estimator.w_minus, config.estimator.w_plus
+        with np.errstate(over="ignore", invalid="ignore"):
+            f -= phi[i0:i1]
+            b -= phi[i0:i1]
+            # einsum's own loop, not BLAS: a BLAS dot would start its worker threads
+            ff, bb, fb = (float(np.einsum("i,i->", x, y)) / f.size
+                          for x, y in ((f, f), (b, b), (f, b)))
+        mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
+                "backward": bb}
+        for mode, value in mses.items():
+            if not math.isfinite(value):
+                raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
+        results.append(TrialResult(mses["filtered"], mses["smoothed"], mses["backward"]))
+    return results
 
 
 @dataclass(frozen=True)
@@ -253,24 +288,43 @@ def _condition(config, mode, chi, samples, analytic) -> Condition:
 
 
 def run_ensemble(config: ExperimentConfig, workers: int = 1) -> VarianceReport:
-    """Aggregate ``config.trials`` independent trials into a VarianceReport.
+    """``config.trials`` independent trials as one report: ``run_ensembles``."""
+    return run_ensembles([config], workers)[0]
 
-    ``workers > 1`` distributes trials over processes; results are identical
-    to a serial run because aggregation folds in trial-index order.
+
+def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
+    """One VarianceReport per config, from one pass over the trial indices that
+    the configs share (``run_trials``): common random numbers across them.
+
+    ``workers > 1`` maps the trial indices over one process pool of
+    min(workers, ceil(trials / 8), CPU count) processes; results are
+    identical to a serial run because aggregation folds in trial-index order.
     """
+    configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
-    if config.trials < MIN_TRIALS_FOR_STDERR:
-        raise StatisticsError(
-            f"{config.trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars"
-        )
-    indices = range(config.trials)
+    trials = configs[0].trials
+    if trials < MIN_TRIALS_FOR_STDERR:
+        raise StatisticsError(f"{trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
+    task = partial(_run_index, configs)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(partial(run_trial, config), indices, chunksize=8))
+        # a fork pool starts all its processes at once: no more than can get work
+        size = min(workers, math.ceil(trials / TRIAL_CHUNK), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            rows = list(pool.map(task, range(trials), chunksize=TRIAL_CHUNK))
     else:
-        results = [run_trial(config, i) for i in indices]
+        rows = [task(i) for i in range(trials)]
+    return [_report(config, [row[k] for row in rows]) for k, config in enumerate(configs)]
 
+
+def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialResult]:
+    # one config calls run_trial by its global name, which bench/tracer.py wraps
+    if len(configs) == 1:
+        return [run_trial(configs[0], trial_index)]
+    return run_trials(configs, trial_index)
+
+
+def _report(config: ExperimentConfig, results: list[TrialResult]) -> VarianceReport:
     filt = np.array([r.filtered_mse for r in results])
     smth = np.array([r.smoothed_mse for r in results])
     back = np.array([r.backward_mse for r in results])
@@ -308,42 +362,33 @@ def _check_sweep_values(values) -> np.ndarray:
 def sweep(
     config: ExperimentConfig, axis: str, values, workers: int = 1
 ) -> list[VarianceReport]:
-    """One ensemble per value of the swept axis.
+    """One report per value of the swept axis, all from one ``run_ensembles``.
 
     axis="chi": both averaging rates are set to the value and, for the
     adaptive scheme, beta follows sqrt(8*chi*N) per point. axis="flux": chi is
     re-optimized per point and per mode (each mode is measured at its own
     exact optimal rate), beta likewise, so the sweep traces the optimal MSEs.
+    Every point's config is built, and so checked, before any trial runs.
     """
     vals = _check_sweep_values(values)
-    reports = []
+    if axis not in ("chi", "flux"):
+        raise ParameterError(f"unknown sweep axis: {axis!r}")
     beta = "auto" if config.scheme == "adaptive" else None
-    if axis == "chi":
-        for chi in vals:
-            est = replace(config.estimator, chi_minus=float(chi), chi_plus=float(chi))
-            reports.append(run_ensemble(replace(config, estimator=est, beta=beta), workers))
-        return reports
-    if axis == "flux":
-        for flux in vals:
-            params = replace(config.params, flux=float(flux))
-            per_mode = {}
-            for mode in ("filtered", "smoothed"):
-                chi = analytics.optimal_chi(params, mode, config.scheme).chi_star
-                est = replace(config.estimator, chi_minus=chi, chi_plus=chi)
-                cfg = replace(config, params=params, estimator=est, beta=beta)
-                per_mode[mode] = run_ensemble(cfg, workers)
-            reports.append(
-                VarianceReport(
-                    config=per_mode["filtered"].config,
-                    conditions=(
-                        per_mode["filtered"].condition("filtered"),
-                        per_mode["smoothed"].condition("smoothed"),
-                    ),
-                    backward=per_mode["filtered"].backward,
-                )
-            )
-        return reports
-    raise ParameterError(f"unknown sweep axis: {axis!r}")
+    # a flux point measures each mode at its own rate; a chi point is one config
+    modes = ("filtered", "smoothed") if axis == "flux" else (None,)
+    configs = []
+    for value in map(float, vals):
+        params = replace(config.params, flux=value) if axis == "flux" else config.params
+        for mode in modes:
+            chi = analytics.optimal_chi(params, mode, config.scheme).chi_star if mode else value
+            est = replace(config.estimator, chi_minus=chi, chi_plus=chi)
+            configs.append(replace(config, params=params, estimator=est, beta=beta))
+    reports = run_ensembles(configs, workers)
+    k = len(modes)
+    return [VarianceReport(config=f.config,
+                           conditions=(f.condition("filtered"), s.condition("smoothed")),
+                           backward=f.backward)
+            for f, s in zip(reports[::k], reports[k - 1::k])]
 
 
 @dataclass(frozen=True)

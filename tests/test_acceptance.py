@@ -27,6 +27,7 @@ from ouphase import (
     empirical_mse,
     filtered_mse,
     run_ensemble,
+    run_ensembles,
     run_trial,
     simulate_ou,
     smoothed_mse,
@@ -96,16 +97,15 @@ def pure_diffusion_reports():
     chi_ap = 2 * math.sqrt(PD_PARAMS.kappa * PD_PARAMS.flux)
     chi_dh = 2 * math.sqrt(PD_PARAMS.kappa * PD_PARAMS.flux / 2)
     grid = SimGrid(dt=1e-8, duration=1e-2)
-    adaptive = run_ensemble(
+    # one pass over the trials: both schemes see the same phi
+    adaptive, dual = run_ensembles([
         ExperimentConfig(params=PD_PARAMS, grid=grid,
                          estimator=EstimatorParams(chi_ap, chi_ap),
                          beta="auto", trials=160, master_seed=SEED),
-        workers=WORKERS)
-    dual = run_ensemble(
         ExperimentConfig(params=PD_PARAMS, grid=grid,
                          estimator=EstimatorParams(chi_dh, chi_dh),
                          scheme="dual_homodyne", beta=None, trials=160, master_seed=SEED),
-        workers=WORKERS)
+    ], workers=WORKERS)
     return adaptive, dual
 
 

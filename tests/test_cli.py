@@ -64,6 +64,16 @@ class TestAnalytic:
         payload = json.loads(dest.read_text())
         assert payload["filtered_mse"] == pytest.approx(0.04950714371153696, rel=1e-12)
 
+    @pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "0"],
+                                      ["--dual-mode", "arg"]])
+    def test_run_only_flags_rejected(self, flag, tmp_path, capsys):
+        # analytic simulates nothing and writes JSON only: these would be ignored
+        dest = tmp_path / "t.csv"
+        code, _, err = run(["analytic", *flag, "--out", str(dest)], capsys)
+        assert code == 1
+        assert "unrecognized arguments" in err
+        assert not dest.exists()
+
 
 class TestSimulate:
     def test_csv_schema_and_shape(self, tmp_path, capsys):
@@ -345,6 +355,26 @@ class TestExitCodes:
         code, _, err = run(["simulate", *FAST, "--workers", "2"], capsys)
         assert code == 3
         assert "resource error: a worker died" in err
+
+
+class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        monkeypatch.setattr("ouphase.experiment.os.cpu_count", lambda: 64)
+
+    def test_pool_no_larger_than_the_work(self, pool_sizes, capsys):
+        # 30 trials are 4 chunks of 8: a fork pool would start all 5000 processes
+        code, _, _ = run(["simulate", *FAST, "--workers", "5000"], capsys)
+        assert code == 0
+        assert pool_sizes == [4]
+
+    @pytest.mark.parametrize("argv", [["sweep-chi", "--values", "2e5,3e5,4e5"],
+                                      ["sweep-flux", "--values", "1.35e6,2.7e6"],
+                                      ["compare"]])
+    def test_one_pool_per_command(self, argv, pool_sizes, capsys):
+        code, _, _ = run([*argv, *FAST, "--workers", "2"], capsys)
+        assert code == 0
+        assert pool_sizes == [2]
 
 
 class TestEmitGuards:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ouphase.experiment
 from ouphase import (
     ConfigurationError,
     EstimatorParams,
@@ -25,7 +26,9 @@ from ouphase import (
     run_adaptive_loop,
     run_dual_homodyne,
     run_ensemble,
+    run_ensembles,
     run_trial,
+    run_trials,
     simulate_ou,
     sweep,
     wiener_increments,
@@ -133,6 +136,12 @@ class TestConfigValidation:
             make_config(seed=-1)
         with pytest.raises(ParameterError):
             make_config(noise_scale=-1.0)
+
+    def test_bool_trials_rejected(self):
+        # a bool is an int; the manifest would echo "trials": true
+        for trials in (True, False):
+            with pytest.raises(ParameterError, match="trials"):
+                make_config(trials=trials)
 
     def test_feedback_constants_checked_at_construction(self):
         # the loop does not run for source="theta", so its constants are checked up front
@@ -366,6 +375,143 @@ class TestSweep:
             assert filt.chi == pytest.approx(optimal_chi(params, "filtered").chi_star, rel=1e-12)
             assert smth.chi == pytest.approx(optimal_chi(params, "smoothed").chi_star, rel=1e-12)
             assert smth.mc_mse < filt.mc_mse
+
+
+def with_chi(config, *chis):
+    """``config`` at each rate (both estimators), as a chi sweep builds it."""
+    return [replace(config, estimator=replace(config.estimator, chi_minus=c, chi_plus=c))
+            for c in chis]
+
+
+def flux_sweep_configs(scheme):
+    """The configs of a two-point flux sweep: each flux at both optimal rates."""
+    beta = "auto" if scheme == "adaptive" else None
+    configs = []
+    for flux in (1.35e6, 2.7e6):
+        params = ProcessParams(**{**AP, "flux": flux})
+        chis = [optimal_chi(params, mode, scheme).chi_star for mode in ("filtered", "smoothed")]
+        configs += with_chi(make_config(duration=5e-4, params=params, scheme=scheme, beta=beta),
+                            *chis)
+    return configs
+
+
+def compare_configs(dual_mode):
+    """The adaptive and dual configs of ``ouphase compare``."""
+    chi_ap = 2 * math.sqrt(AP["kappa"] * AP["flux"])
+    chi_dh = 2 * math.sqrt(AP["kappa"] * AP["flux"] / 2)
+    return [make_config(duration=5e-4, chi=chi_ap),
+            make_config(duration=5e-4, chi=chi_dh, scheme="dual_homodyne", beta=None,
+                        dual_mode=dual_mode)]
+
+
+def count_draws(monkeypatch):
+    """Counts of the phase trajectories and Wiener increments a run draws."""
+    calls = {"simulate_ou": 0, "wiener_increments": 0}
+    for name in calls:
+        original = getattr(ouphase.experiment, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, name, counted)
+    return calls
+
+
+PHIHAT = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
+
+
+class TestRunEnsembles:
+    CASES = {
+        "chi-theta": lambda: with_chi(make_config(duration=5e-4), 2e5, 3e5, 4.5e5),
+        "chi-phihat": lambda: with_chi(make_config(duration=5e-4, estimator=PHIHAT),
+                                       2e5, 3e5, 4.5e5),
+        "flux-adaptive": lambda: flux_sweep_configs("adaptive"),
+        "flux-dual": lambda: flux_sweep_configs("dual_homodyne"),
+        "compare-linearized": lambda: compare_configs("linearized"),
+        "compare-arg": lambda: compare_configs("arg"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_one_ensemble_per_config(self, case):
+        configs = self.CASES[case]()
+        separate = [run_ensemble(c) for c in configs]
+        assert run_ensembles(configs) == separate
+        if case == "chi-theta":
+            assert run_ensembles(configs, workers=WORKERS) == separate
+
+    def test_trials_equal_run_trial_across_changes_of_input(self):
+        # theta reused, rebuilt for a new N', and interrupted by per-config inputs
+        base = make_config(seed=5)
+        dual = dict(scheme="dual_homodyne", beta=None)
+        configs = [*with_chi(base, 2e5, 3e5), replace(base, estimator=PHIHAT),
+                   make_config(seed=5, chi=2e5, **dual), make_config(seed=5, dual_mode="arg", **dual),
+                   make_config(seed=5, chi=2.5e5, **dual), *with_chi(base, 4e5),
+                   replace(base, params=ProcessParams(**{**AP, "flux": 2.7e6}))]
+        for trial in (0, 7):
+            assert run_trials(configs, trial) == [run_trial(c, trial) for c in configs]
+
+    @pytest.mark.parametrize("change", [
+        dict(params=ProcessParams(**{**AP, "kappa": 2e4})),
+        dict(params=ProcessParams(**{**AP, "lam": 5e4})),
+        dict(grid=SimGrid(dt=2e-8, duration=2e-3)),
+        dict(trials=40),
+        dict(master_seed=100),
+        dict(noise_scale=0.5),
+    ], ids=["kappa", "lam", "grid", "trials", "seed", "noise_scale"])
+    def test_configs_must_share_trials(self, change):
+        base = make_config()
+        with pytest.raises(ParameterError, match="agree in"):
+            run_ensembles([base, replace(base, **change)])
+        with pytest.raises(ParameterError, match="agree in"):
+            run_trials([base, replace(base, **change)], 0)
+
+    def test_empty_config_list_rejected(self):
+        with pytest.raises(ParameterError):
+            run_ensembles([])
+
+    @pytest.mark.parametrize("run, draws", [
+        (lambda: sweep(make_config(duration=5e-4), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30)),
+        (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60)),
+        (lambda: run_ensembles(compare_configs("linearized")), (30, 60)),
+    ], ids=["chi-sweep", "flux-sweep", "compare"])
+    def test_draws_each_trial_index_once(self, run, draws, monkeypatch):
+        # one phi per trial index; one dW per trial index and N'
+        calls = count_draws(monkeypatch)
+        run()
+        assert (calls["simulate_ou"], calls["wiener_increments"]) == draws
+
+    def test_sweep_checks_every_point_before_any_trial(self, monkeypatch):
+        calls = count_draws(monkeypatch)
+        with pytest.raises(ConfigurationError, match="grid too coarse"):
+            sweep(make_config(duration=5e-4), "chi", [2e5, 3e7])  # chi*dt = 0.6 at the end
+        assert calls["simulate_ou"] == 0
+
+    def test_peak_memory_of_five_configs_is_four_arrays(self):
+        # each config's forward and backward arrays are freed before the next's
+        configs = with_chi(make_config(), 1e5, 2e5, 3e5, 4e5, 5e5)
+        run_trials(configs, 0)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_trials(configs, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * configs[0].grid.n_steps
+
+    @pytest.mark.parametrize("workers, trials, cpus, size", [
+        (5000, 30, 64, 4),    # ceil(30 / 8) chunks of trials
+        (3, 200, 64, 3),      # as asked
+        (5000, 200, 2, 2),    # the CPU count
+    ])
+    def test_pool_sized_from_the_work(self, workers, trials, cpus, size, pool_sizes,
+                                      monkeypatch):
+        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: cpus)
+        cfg = make_config(duration=2e-4, trials=trials)
+        assert run_ensemble(cfg, workers=workers) == run_ensemble(cfg)
+        assert pool_sizes == [size]
 
 
 class TestCompareSchemes:
