@@ -28,6 +28,7 @@ __all__ = [
     "forward_backward_correlation",
     "combined_mse",
     "smoothed_mse",
+    "analytic_mse",
     "optimal_chi",
     "sql_mse",
     "optimal_beta",
@@ -106,6 +107,20 @@ def smoothed_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") ->
     return params.kappa * (chi + 2.0 * params.lam) / (4.0 * (chi + params.lam) ** 2) + chi / (
         16.0 * n_eff
     )
+
+
+def analytic_mse(config, mode: str) -> float:
+    """Closed-form MSE of condition ``mode`` ("filtered" at chi_minus, "backward"
+    at chi_plus, or "smoothed") of an ``ExperimentConfig``. Every source gets
+    the theta forms; those of ``source="phihat"`` are not derived yet."""
+    p, e, scheme = config.params, config.estimator, config.scheme
+    if mode == "filtered":
+        return filtered_mse(p, e.chi_minus, scheme)
+    if mode == "backward":
+        return filtered_mse(p, e.chi_plus, scheme)
+    if mode == "smoothed":
+        return combined_mse(TheoryPoint(p, e.chi_minus, e.chi_plus, e.w_minus, e.w_plus, scheme))
+    raise ParameterError(f"unknown condition mode: {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -271,19 +271,18 @@ def _print_conditions(reports, file=None):
         )
 
 
-def _analytic_values(values: dict) -> dict:
-    params = ProcessParams(kappa=values["kappa"], lam=values["lambda"], flux=values["flux"])
-    chi = values["chi"]
-    scheme = values["scheme"]
+def _analytic_values(config: ExperimentConfig) -> dict:
+    """The theory table of ``config``; its MSEs are those ``simulate`` reports."""
+    params, scheme, chi = config.params, config.scheme, config.estimator.chi_minus
     opt_f = analytics.optimal_chi(params, "filtered", scheme)
     opt_s = analytics.optimal_chi(params, "smoothed", scheme)
     ratios = analytics.improvement_ratios(params)
     return {
         "scheme": scheme,
         "chi": chi,
-        "filtered_mse": analytics.filtered_mse(params, chi, scheme),
-        "backward_mse": analytics.filtered_mse(params, chi, scheme),
-        "smoothed_mse": analytics.smoothed_mse(params, chi, scheme),
+        "filtered_mse": analytics.analytic_mse(config, "filtered"),
+        "backward_mse": analytics.analytic_mse(config, "backward"),
+        "smoothed_mse": analytics.analytic_mse(config, "smoothed"),
         "fb_correlation": analytics.forward_backward_correlation(params, chi, chi),
         "sql_mse": analytics.sql_mse(params),
         "xi": analytics.xi(params),
@@ -300,8 +299,7 @@ def _analytic_values(values: dict) -> dict:
 
 
 def _cmd_analytic(args) -> int:
-    values, _ = _merge_values(_file_values(args), _cli_values(args))
-    table = _analytic_values(values)
+    table = _analytic_values(_config_from_args(args, dual_mode="linearized"))
     for name, value in table.items():
         if isinstance(value, str):
             print(f"{name:<20} {value}")

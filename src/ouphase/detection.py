@@ -7,7 +7,8 @@ per-sample variance diverges as 1/dt); the estimators module averages it into
 useful estimates.
 
 In the linearized model that estimate is ``linearized_theta`` for both
-detectors: it does not depend on the feedback loop, only on the flux.
+detectors: it does not depend on the feedback loop, only on the flux. The
+loop's own estimate phihat is a low-pass filter of it (``feedback_estimate``).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "run_adaptive_loop",
     "run_dual_homodyne",
     "linearized_theta",
+    "feedback_estimate",
 ]
 
 
@@ -92,6 +94,18 @@ def linearized_theta(phi, dW, flux: float, dt: float) -> np.ndarray:
     return theta
 
 
+def feedback_estimate(theta, fb: FeedbackParams, dt: float) -> np.ndarray:
+    """The loop's running estimate phihat from phihat[0] = 0. With
+    I[k]/(2*sqrt(N)) = theta[k] - phihat[k], the loop update is a low-pass filter:
+
+        phihat[k+1] = (1 - (omega0+beta)*dt) * phihat[k] + beta*dt * theta[k]
+    """
+    if fb.beta * dt >= 0.5:
+        raise ConfigurationError(f"feedback loop unstable: beta*dt = {fb.beta * dt:.3g} >= 0.5")
+    a = 1.0 - (fb.omega0 + fb.beta) * dt
+    return lfilter([0.0, fb.beta * dt], [1.0, -a], theta)
+
+
 def run_adaptive_loop(
     phi,
     params: ProcessParams,
@@ -108,30 +122,16 @@ def run_adaptive_loop(
         theta[k]    = phihat[k] + I[k] / (2*sqrt(N))
         phihat[k+1] = phihat[k] + dt * (-omega0*phihat[k] + beta*I[k]/(2*sqrt(N)))
 
-    theta is computed from that defining identity, so
+    phihat is ``feedback_estimate`` of ``linearized_theta``, and theta is
+    computed from its defining identity, so
     ``theta == phihat + current/(2*sqrt(N))`` holds bit-exactly on the
     returned Trajectory. With omega0 = 0 the loop is a pure integrator.
-
-    This is the detector's physical model; ensembles run it only for
-    ``source="phihat"``, since phihat cancels from theta (``linearized_theta``).
     """
     phi = _check_phi(phi, grid)
-    n, dt = grid.n_steps, grid.dt
-    if fb.beta * dt >= 0.5:
-        raise ConfigurationError(
-            f"feedback loop unstable: beta*dt = {fb.beta * dt:.3g} >= 0.5"
-        )
+    dW = wiener_increments(meas_stream, grid.n_steps, grid.dt)
+    phihat = feedback_estimate(linearized_theta(phi, dW, params.flux, grid.dt), fb, grid.dt)
     root = 2.0 * math.sqrt(params.flux)
-
-    dW = wiener_increments(meas_stream, n, dt)
-
-    # phihat[k+1] = a*phihat[k] + u[k]  with  a = 1 - (omega0+beta)*dt
-    a = 1.0 - (fb.omega0 + fb.beta) * dt
-    u = (fb.beta * dt) * phi + (fb.beta / root) * dW
-    phihat = np.zeros(n)
-    phihat[1:] = lfilter([1.0], [1.0, -a], u[:-1])
-
-    current = root * (phi - phihat) + dW / dt
+    current = root * (phi - phihat) + dW / grid.dt
     theta = phihat + current / root
     return Trajectory(grid=grid, phi=phi, current=current, phihat=phihat, theta=theta)
 

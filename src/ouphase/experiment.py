@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from . import analytics
-from .detection import FeedbackParams, linearized_theta, run_adaptive_loop, run_dual_homodyne
+from .detection import FeedbackParams, feedback_estimate, linearized_theta, run_dual_homodyne
+from .detection import run_adaptive_loop  # noqa: F401  bench/tracer.py wraps this name
 from .errors import ConfigurationError, ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
@@ -52,8 +53,8 @@ class ExperimentConfig:
     adaptive scheme, and None for the dual scheme, where no feedback runs.
     ``noise_scale`` scales all noise streams and exists for deterministic
     noise-free runs in tests; production runs leave it at 1. ``omega0`` is
-    checked as ``FeedbackParams`` for the adaptive scheme. ``dual_mode``, the
-    dual detector's model, is "linearized" or (dual scheme only) "arg".
+    >= 0, and below beta for the adaptive scheme. ``dual_mode``, the dual
+    detector's model, is "linearized" or (dual scheme only) "arg".
     """
 
     params: ProcessParams
@@ -92,6 +93,7 @@ class ExperimentConfig:
         for chi in (self.estimator.chi_minus, self.estimator.chi_plus):
             _check_rate(chi, self.grid.dt)
         self.feedback()
+        check_real_fields(self, "omega0", at_least=0.0)  # after feedback(): its message first
         self.resolved_edge_discard()
 
     def feedback(self) -> FeedbackParams | None:
@@ -183,8 +185,8 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. phi is drawn
     once. Linearized theta (``linearized_theta``) is built once for each
-    consecutive run of configs with the same (scheme, N'); the feedback loop
-    (``source="phihat"``) and the dual arg model run once per config.
+    consecutive run of configs with the same (scheme, N'), the dual arg model
+    once per config; ``source="phihat"`` filters theta (``feedback_estimate``).
 
     No smoothed series is built: its MSE is the quadratic form
     w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
@@ -197,27 +199,26 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     grid = c0.grid
     phi = simulate_ou(c0.params, grid, phase, init="stationary" if c0.params.lam > 0 else 0.0)
 
-    results, held, source = [], None, None
+    results, held, source, theta = [], None, None, None
     for config in configs:
-        # the previous config's errors go before this one's arrays are built;
-        # the last config's go at return, after phi and source (freed before
-        # them, they leave one more array per trial to fault in again)
-        f = b = None
+        # the previous config's errors and input go before this one's arrays
+        # are built; the last config's go at return, after phi and source
+        # (freed before them, they leave one more array per trial to fault in again)
+        f = b = source = None
         flux = analytics.effective_flux(config.params, config.scheme)
-        per_config = config.estimator.source == "phihat" or config.dual_mode == "arg"
-        key = None if per_config else (config.scheme, flux)
+        key = None if config.dual_mode == "arg" else (config.scheme, flux)
         if key is None or key != held:
-            source = None  # free the previous input before building this one
-            if config.estimator.source == "phihat":
-                source = run_adaptive_loop(phi, config.params, config.feedback(), grid, meas1).phihat
-            elif config.dual_mode == "arg":  # the dual scheme only
-                source = run_dual_homodyne(phi, config.params, grid, (meas1, meas2))
+            theta = None  # free the previous theta before building this one
+            if key is None:  # the dual scheme's arg model
+                theta = run_dual_homodyne(phi, config.params, grid, (meas1, meas2))
             else:
                 meas = meas1 if config.scheme == "adaptive" else meas2
                 # dW is not bound to a name, so it is freed before the estimators run
-                source = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt),
-                                          flux, grid.dt)
+                theta = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt),
+                                         flux, grid.dt)
         held = key
+        source = (feedback_estimate(theta, config.feedback(), grid.dt)
+                  if config.estimator.source == "phihat" else theta)
         i0, i1 = retained_window(grid, config.resolved_edge_discard())
         f, b = (x[i0:i1] for x in apply_estimators(source, config.estimator, grid))
         wm, wp = config.estimator.w_minus, config.estimator.w_plus
@@ -267,7 +268,8 @@ class VarianceReport:
         raise ParameterError(f"report has no condition with mode {mode!r}")
 
 
-def _condition(config, mode, chi, samples, analytic) -> Condition:
+def _condition(config: ExperimentConfig, mode: str, samples) -> Condition:
+    analytic = analytics.analytic_mse(config, mode)
     mc = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
     if not (math.isfinite(mc) and math.isfinite(stderr)):
@@ -277,7 +279,7 @@ def _condition(config, mode, chi, samples, analytic) -> Condition:
     return Condition(
         scheme=config.scheme,
         mode=mode,
-        chi=chi,
+        chi=config.estimator.chi_plus if mode == "backward" else config.estimator.chi_minus,
         flux=config.params.flux,
         trials=config.trials,
         mc_mse=mc,
@@ -325,27 +327,10 @@ def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialR
 
 
 def _report(config: ExperimentConfig, results: list[TrialResult]) -> VarianceReport:
-    filt = np.array([r.filtered_mse for r in results])
-    smth = np.array([r.smoothed_mse for r in results])
-    back = np.array([r.backward_mse for r in results])
-
-    p, e = config.params, config.estimator
-    analytic_f = analytics.filtered_mse(p, e.chi_minus, config.scheme)
-    analytic_b = analytics.filtered_mse(p, e.chi_plus, config.scheme)
-    analytic_s = analytics.combined_mse(
-        analytics.TheoryPoint(
-            params=p, chi_minus=e.chi_minus, chi_plus=e.chi_plus,
-            w_minus=e.w_minus, w_plus=e.w_plus, scheme=config.scheme,
-        )
-    )
-    return VarianceReport(
-        config=config,
-        conditions=(
-            _condition(config, "filtered", e.chi_minus, filt, analytic_f),
-            _condition(config, "smoothed", e.chi_minus, smth, analytic_s),
-        ),
-        backward=_condition(config, "backward", e.chi_plus, back, analytic_b),
-    )
+    filtered, smoothed, backward = (
+        _condition(config, mode, [getattr(r, f"{mode}_mse") for r in results])
+        for mode in ("filtered", "smoothed", "backward"))
+    return VarianceReport(config=config, conditions=(filtered, smoothed), backward=backward)
 
 
 def _check_sweep_values(values) -> np.ndarray:
@@ -367,13 +352,15 @@ def sweep(
     axis="chi": both averaging rates are set to the value and, for the
     adaptive scheme, beta follows sqrt(8*chi*N) per point. axis="flux": chi is
     re-optimized per point and per mode (each mode is measured at its own
-    exact optimal rate), beta likewise, so the sweep traces the optimal MSEs.
-    Every point's config is built, and so checked, before any trial runs.
+    exact optimal rate), beta likewise, so the sweep traces the optimal MSEs
+    (a numeric beta is an error). Every point's config is built, and so
+    checked, before any trial runs.
     """
     vals = _check_sweep_values(values)
     if axis not in ("chi", "flux"):
         raise ParameterError(f"unknown sweep axis: {axis!r}")
-    beta = "auto" if config.scheme == "adaptive" else None
+    if config.beta not in ("auto", None):
+        raise ParameterError(f"sweep sets beta at every point: beta must be 'auto', got {config.beta!r}")
     # a flux point measures each mode at its own rate; a chi point is one config
     modes = ("filtered", "smoothed") if axis == "flux" else (None,)
     configs = []
@@ -382,7 +369,7 @@ def sweep(
         for mode in modes:
             chi = analytics.optimal_chi(params, mode, config.scheme).chi_star if mode else value
             est = replace(config.estimator, chi_minus=chi, chi_plus=chi)
-            configs.append(replace(config, params=params, estimator=est, beta=beta))
+            configs.append(replace(config, params=params, estimator=est))
     reports = run_ensembles(configs, workers)
     k = len(modes)
     return [VarianceReport(config=f.config,

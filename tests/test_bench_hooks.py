@@ -41,6 +41,26 @@ def test_tracer_wraps_the_layers_of_a_plain_ensemble(bench, tmp_path):
         assert names.count(layer) == 30, layer
 
 
+def test_tracer_wraps_a_phihat_ensemble(bench, tmp_path):
+    # phihat is a filter of the shared theta: the loop model itself never runs,
+    # but the tracer still finds the name it wraps, and each trial averages once
+    tracer = bench("tracer").Tracer(tmp_path)
+    original = ouphase.experiment.run_adaptive_loop
+    config = ExperimentConfig(params=ProcessParams(**AP), grid=SimGrid(2e-8, 2e-4),
+                              estimator=EstimatorParams(CHI_OP, CHI_OP, source="phihat"),
+                              trials=30)
+    try:
+        tracer.install()
+        assert ouphase.experiment.run_adaptive_loop is not original
+        ouphase.experiment.run_ensemble(config)
+    finally:
+        tracer.uninstall()
+    assert ouphase.experiment.run_adaptive_loop is original
+    names = [s["name"] for s in tracer.collect()]
+    assert names.count("estimators.apply_estimators") == 30
+    assert names.count("detection.run_adaptive_loop") == 0
+
+
 def test_every_workload_builds(bench):
     workloads = bench("workloads")
     for name in workloads.NAMES:

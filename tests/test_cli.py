@@ -64,6 +64,30 @@ class TestAnalytic:
         payload = json.loads(dest.read_text())
         assert payload["filtered_mse"] == pytest.approx(0.04950714371153696, rel=1e-12)
 
+    @pytest.mark.parametrize("flags", [["--w-minus", "0.3", "--w-plus", "0.7"],
+                                       ["--scheme", "dual_homodyne"]], ids=["weights", "dual"])
+    def test_mses_equal_simulate_analytic_column(self, flags, tmp_path, capsys):
+        table, manifest = tmp_path / "analytic.json", tmp_path / "run.json"
+        assert run(["analytic", *FAST, *flags, "--out", str(table)], capsys)[0] == 0
+        assert run(["simulate", *FAST, *flags, "--format", "json", "--out", str(manifest)],
+                   capsys)[0] == 0
+        theory = json.loads(table.read_text())
+        for row in json.loads(manifest.read_text())["results"]:
+            assert theory[f"{row['mode']}_mse"] == row["analytic_mse"], row["mode"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dt", "-1"], "dt must be finite and > 0"),
+        (["--trials", "0"], "trials must be an integer >= 1"),
+        (["--w-minus", "0.3"], "w_minus + w_plus must sum to 1"),
+        (["--scheme", "dual_homodyne", "--beta", "5"], "beta applies to the adaptive scheme only"),
+    ], ids=["dt", "trials", "weights", "dual-beta"])
+    def test_invalid_config_is_one(self, flags, message, capsys):
+        # the whole config is checked, as for the commands that simulate
+        code, out, err = run(["analytic", *flags], capsys)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "0"],
                                       ["--dual-mode", "arg"]])
     def test_run_only_flags_rejected(self, flag, tmp_path, capsys):
@@ -273,11 +297,15 @@ class TestExitCodes:
         assert code == 1
         assert "workers" in err
 
-    @pytest.mark.parametrize("omega0", ["-5", "1e9"])
-    def test_bad_omega0_is_one(self, omega0, capsys):
-        code, _, err = run(["simulate", *FAST, "--omega0", omega0], capsys)
+    @pytest.mark.parametrize("args, message", [
+        (["--omega0", "-5"], "omega0 must satisfy 0 <= omega0 < beta"),
+        (["--omega0", "1e9"], "omega0 must satisfy 0 <= omega0 < beta"),
+        (["--omega0", "-5", "--scheme", "dual_homodyne"], "omega0 must be finite and >= 0"),
+    ], ids=["-5", "1e9", "dual--5"])
+    def test_bad_omega0_is_one(self, args, message, capsys):
+        code, _, err = run(["simulate", *FAST, *args], capsys)
         assert code == 1
-        assert "omega0 must satisfy 0 <= omega0 < beta" in err
+        assert message in err
 
     def test_missing_config_file_is_one(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.cfg"], capsys)

@@ -33,6 +33,7 @@ from ouphase import (
     sweep,
     wiener_increments,
 )
+from ouphase.analytics import analytic_mse
 from ouphase.estimators import retained_window
 from ouphase.experiment import default_edge_discard
 
@@ -76,6 +77,20 @@ def reference_trial(config, trial_index):
     return [ff, wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb, bb]
 
 
+def peak_bytes(run):
+    """Traced peak allocation of ``run()`` above what was live before it; a
+    first, untraced call keeps imports and caches outside the measurement."""
+    run()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def make_config(duration=1e-3, dt=2e-8, trials=30, seed=99, chi=CHI_OP, **kwargs):
     defaults = dict(
         params=ProcessParams(**AP),
@@ -86,6 +101,9 @@ def make_config(duration=1e-3, dt=2e-8, trials=30, seed=99, chi=CHI_OP, **kwargs
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+PHIHAT = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
 
 
 class TestConfigValidation:
@@ -150,8 +168,11 @@ class TestConfigValidation:
             with pytest.raises(ParameterError, match="0 <= omega0 < beta"):
                 make_config(omega0=omega0)
         assert make_config(omega0=0.0).feedback() == FeedbackParams(beta, 0.0)
-        # the dual scheme runs no loop and ignores them
-        assert make_config(scheme="dual_homodyne", beta=None, omega0=-5.0).feedback() is None
+        # the dual scheme runs no loop, but its omega0 is still checked
+        assert make_config(scheme="dual_homodyne", beta=None).feedback() is None
+        for omega0 in (-5.0, float("nan")):
+            with pytest.raises(ParameterError, match="omega0 must be finite and >= 0"):
+                make_config(scheme="dual_homodyne", beta=None, omega0=omega0)
 
 
 class TestEdgePolicy:
@@ -244,16 +265,12 @@ class TestRunTrial:
     def test_peak_memory_is_four_arrays(self):
         # phi, theta, forward and backward: no smoothed series, no error copies
         cfg = make_config()
-        run_trial(cfg, 0)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run_trial(cfg, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 8 * cfg.grid.n_steps
+        assert peak_bytes(lambda: run_trial(cfg, 0)) <= 4.5 * 8 * cfg.grid.n_steps
+
+    def test_peak_memory_of_phihat_is_five_arrays(self):
+        # the loop estimate is one more array, filtered from theta: no loop record
+        cfg = make_config(estimator=PHIHAT)
+        assert peak_bytes(lambda: run_trial(cfg, 0)) <= 5.5 * 8 * cfg.grid.n_steps
 
     def test_pure_diffusion_fixed_init(self):
         params = ProcessParams(kappa=1.6e4, lam=0.0, flux=1.35e6)
@@ -346,8 +363,14 @@ class TestSweep:
         with pytest.raises(ParameterError):
             sweep(cfg, "omega", [1e5, 2e5])
 
+    def test_numeric_beta_rejected(self):
+        # the sweep sets beta from chi at every point: a fixed one would be dropped
+        for axis, values in (("chi", [2e5, 3e5]), ("flux", [1.35e6, 2.7e6])):
+            with pytest.raises(ParameterError, match="beta must be 'auto', got 1500000.0"):
+                sweep(make_config(duration=5e-4, beta=1.5e6), axis, values)
+
     def test_chi_sweep_sets_rates_and_gain_per_point(self):
-        cfg = make_config(duration=5e-4, trials=30, beta=1.5e6)
+        cfg = make_config(duration=5e-4, trials=30)
         values = [2e5, 3.5e5]
         reports = sweep(cfg, "chi", values, workers=WORKERS)
         assert len(reports) == 2
@@ -418,9 +441,6 @@ def count_draws(monkeypatch):
     return calls
 
 
-PHIHAT = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
-
-
 class TestRunEnsembles:
     CASES = {
         "chi-theta": lambda: with_chi(make_config(duration=5e-4), 2e5, 3e5, 4.5e5),
@@ -439,6 +459,12 @@ class TestRunEnsembles:
         assert run_ensembles(configs) == separate
         if case == "chi-theta":
             assert run_ensembles(configs, workers=WORKERS) == separate
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_theory_comes_from_analytic_mse(self, case):
+        for report in run_ensembles(self.CASES[case]()):
+            for cell in report.conditions + (report.backward,):
+                assert cell.analytic_mse == analytic_mse(report.config, cell.mode)
 
     def test_trials_equal_run_trial_across_changes_of_input(self):
         # theta reused, rebuilt for a new N', and interrupted by per-config inputs
@@ -472,9 +498,11 @@ class TestRunEnsembles:
 
     @pytest.mark.parametrize("run, draws", [
         (lambda: sweep(make_config(duration=5e-4), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30)),
+        (lambda: sweep(make_config(duration=5e-4, estimator=PHIHAT), "chi",
+                       [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30)),
         (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60)),
         (lambda: run_ensembles(compare_configs("linearized")), (30, 60)),
-    ], ids=["chi-sweep", "flux-sweep", "compare"])
+    ], ids=["chi-sweep", "chi-sweep-phihat", "flux-sweep", "compare"])
     def test_draws_each_trial_index_once(self, run, draws, monkeypatch):
         # one phi per trial index; one dW per trial index and N'
         calls = count_draws(monkeypatch)
@@ -490,16 +518,7 @@ class TestRunEnsembles:
     def test_peak_memory_of_five_configs_is_four_arrays(self):
         # each config's forward and backward arrays are freed before the next's
         configs = with_chi(make_config(), 1e5, 2e5, 3e5, 4e5, 5e5)
-        run_trials(configs, 0)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            run_trials(configs, 0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 8 * configs[0].grid.n_steps
+        assert peak_bytes(lambda: run_trials(configs, 0)) <= 4.5 * 8 * configs[0].grid.n_steps
 
     @pytest.mark.parametrize("workers, trials, cpus, size", [
         (5000, 30, 64, 4),    # ceil(30 / 8) chunks of trials
