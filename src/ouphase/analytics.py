@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
-from .errors import ConfigurationError, ParameterError, check_real
+from .errors import ParameterError, check_real
 from .estimators import check_rates_and_weights
 from .stochastic import ProcessParams
 
@@ -135,33 +133,27 @@ class OptimalChi:
 
 
 def optimal_chi(params: ProcessParams, mode: str, scheme: str = "adaptive") -> OptimalChi:
-    """Exact minimizer of the filtered or smoothed MSE over chi.
+    """Exact minimizer of the filtered or smoothed MSE over chi, in closed form.
 
-    filtered: the stationary point is chi* = 2*sqrt(kappa*N') - lam in closed
-    form. smoothed: chi* solves (chi+lam)^3 = 4*kappa*N'*(chi+3*lam), found by
-    bracketed root-finding to 1e-10 relative tolerance.
+    filtered: the stationary point is chi* = 2*sqrt(kappa*N') - lam. smoothed:
+    u = chi* + lam solves u^3 - a*u - 2*a*lam = 0 with a = 4*kappa*N', whose one
+    positive root (Descartes) is taken in trigonometric or hyperbolic form.
     """
     n_eff = effective_flux(params, scheme)
     k, lam = params.kappa, params.lam
     if mode == "filtered":
         chi_star = limit_chi(params, scheme) - lam
-        if chi_star <= 0:
-            return OptimalChi(chi_star=0.0, mse_star=k / (2.0 * lam), at_boundary=True)
-        return OptimalChi(chi_star=chi_star, mse_star=filtered_mse(params, chi_star, scheme))
-    if mode == "smoothed":
-        def slope_sign(chi):
-            return (chi + lam) ** 3 - 4.0 * k * n_eff * (chi + 3.0 * lam)
-
-        hi = 10.0 * limit_chi(params, scheme)
-        lo = 1e-12 * hi
-        if slope_sign(lo) >= 0:
-            # MSE already increasing at chi -> 0: no interior minimum
-            return OptimalChi(chi_star=0.0, mse_star=k / (2.0 * lam), at_boundary=True)
-        if slope_sign(hi) <= 0:
-            raise ConfigurationError("no bracket for the smoothed optimum")
-        chi_star = brentq(slope_sign, lo, hi, rtol=1e-10)
-        return OptimalChi(chi_star=chi_star, mse_star=smoothed_mse(params, chi_star, scheme))
-    raise ParameterError(f"unknown optimization mode: {mode!r}")
+    elif mode == "smoothed":
+        s = math.sqrt(4.0 * k * n_eff / 3.0)
+        arg = 3.0 * lam / s
+        root = math.cos(math.acos(arg) / 3.0) if arg <= 1.0 else math.cosh(math.acosh(arg) / 3.0)
+        chi_star = 2.0 * s * root - lam  # <= 0 iff lam^2 >= 12*kappa*N'
+    else:
+        raise ParameterError(f"unknown optimization mode: {mode!r}")
+    if chi_star <= 0:  # the MSE already rises at chi -> 0: no interior minimum
+        return OptimalChi(chi_star=0.0, mse_star=k / (2.0 * lam), at_boundary=True)
+    mse = filtered_mse if mode == "filtered" else smoothed_mse
+    return OptimalChi(chi_star=chi_star, mse_star=mse(params, chi_star, scheme))
 
 
 def sql_mse(params: ProcessParams) -> float:

@@ -60,13 +60,14 @@ class _Key(NamedTuple):
 
 # The config-file keys. Each is also a --flag (``_`` -> ``-``) parsed by the
 # same rule. The defaults are the headline adaptive operating point, so that
-# a bare `ouphase simulate` demonstrates the filtered/smoothed comparison.
+# a bare `ouphase simulate` demonstrates the filtered/smoothed comparison; an
+# unset beta is 'auto' for the adaptive scheme and no loop for the dual one.
 _KEYS = {
     "kappa": _Key(1.5868e4, _real),
     "lambda": _Key(6.1451e4, _real),
     "flux": _Key(1.3499e6, _real),
     "chi": _Key(2.92714e5, _real),
-    "beta": _Key("auto", _real_or_auto, "feedback gain in 1/s, or 'auto'"),
+    "beta": _Key(None, _real_or_auto, "feedback gain in 1/s, or 'auto'"),
     "omega0": _Key(1e2, _real),
     "dt": _Key(2e-8, _real),
     "duration": _Key(1e-2, _real),
@@ -119,20 +120,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_values(file_values: dict | None, cli_values: dict | None):
-    """Precedence: command line > config file > defaults."""
+def _merge_values(file_values: dict | None, cli_values: dict | None) -> dict:
+    """Precedence: command line > config file > defaults; None is unset."""
     values = dict(DEFAULTS)
-    explicit = set()
-    for layer in (file_values, cli_values):
-        if layer:
-            for k, v in layer.items():
-                if v is not None:
-                    values[k] = v
-                    explicit.add(k)
-    return values, explicit
+    for layer in (file_values or {}, cli_values or {}):
+        values.update((k, v) for k, v in layer.items() if v is not None)
+    return values
 
 
-def _build_config(values: dict, explicit: set, dual_mode: str = "linearized") -> ExperimentConfig:
+def _build_config(values: dict) -> ExperimentConfig:
     params = ProcessParams(kappa=values["kappa"], lam=values["lambda"], flux=values["flux"])
     grid = SimGrid(dt=values["dt"], duration=values["duration"], warmup=values["warmup"])
     edge = values["edge_discard"]
@@ -145,8 +141,8 @@ def _build_config(values: dict, explicit: set, dual_mode: str = "linearized") ->
         edge_discard=None if edge == "auto" else edge,
     )
     beta = values["beta"]
-    if values["scheme"] != "adaptive" and beta == "auto" and "beta" not in explicit:
-        beta = None  # the dual scheme runs no feedback; only an explicit 'auto' is an error
+    if beta is None and values["scheme"] == "adaptive":
+        beta = "auto"  # unset: the loop gain follows chi
     return ExperimentConfig(
         params=params,
         grid=grid,
@@ -156,14 +152,12 @@ def _build_config(values: dict, explicit: set, dual_mode: str = "linearized") ->
         omega0=values["omega0"],
         trials=values["trials"],
         master_seed=values["seed"],
-        dual_mode=dual_mode,
     )
 
 
 def load_config(path: str, cli_overrides: dict | None = None) -> ExperimentConfig:
     """Config from a flat key=value file, with optional command-line overrides."""
-    values, explicit = _merge_values(_read_config_file(path), cli_overrides)
-    return _build_config(values, explicit)
+    return _build_config(_merge_values(_read_config_file(path), cli_overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +270,9 @@ def _analytic_values(config: ExperimentConfig) -> dict:
     params, scheme, chi = config.params, config.scheme, config.estimator.chi_minus
     opt_f = analytics.optimal_chi(params, "filtered", scheme)
     opt_s = analytics.optimal_chi(params, "smoothed", scheme)
-    ratios = analytics.improvement_ratios(params)
-    return {
+    chi_lim = analytics.limit_chi(params, scheme)
+    ratios = analytics.improvement_ratios(params)  # adaptive against dual: scheme-free
+    table = {
         "scheme": scheme,
         "chi": chi,
         "filtered_mse": analytics.analytic_mse(config, "filtered"),
@@ -291,15 +286,19 @@ def _analytic_values(config: ExperimentConfig) -> dict:
         "mse_star_filtered": opt_f.mse_star,
         "chi_star_smoothed": opt_s.chi_star,
         "mse_star_smoothed": opt_s.mse_star,
-        "smoothing_gain": ratios.smoothing_gain,
+        "smoothing_gain": analytics.filtered_mse(params, chi_lim, scheme)
+        / analytics.smoothed_mse(params, chi_lim, scheme),
         "adaptive_gain": ratios.adaptive_gain,
         "total_gain_limit": ratios.total_gain_limit,
         "total_gain_exact": ratios.total_gain_exact,
     }
+    if scheme != "adaptive":
+        del table["optimal_beta"]  # the dual scheme runs no loop
+    return table
 
 
 def _cmd_analytic(args) -> int:
-    table = _analytic_values(_config_from_args(args, dual_mode="linearized"))
+    table = _analytic_values(_config_from_args(args))
     for name, value in table.items():
         if isinstance(value, str):
             print(f"{name:<20} {value}")
@@ -312,13 +311,17 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    config = _config_from_args(args)
-    report = run_ensemble(config, workers=args.workers)
-    _print_conditions([report])
+def _emit(args, reports, config=None, extra=None) -> int:
+    """The tail of simulate and sweep-*: the table, and --out if given."""
+    _print_conditions(reports)
     if args.out:
-        emit_results([report], args.format, args.out, build_manifest([report]))
+        emit_results(reports, args.format, args.out, build_manifest(reports, config, extra))
     return 0
+
+
+def _cmd_simulate(args) -> int:
+    config = replace(_config_from_args(args), dual_mode=args.dual_mode)
+    return _emit(args, [run_ensemble(config, workers=args.workers)])
 
 
 def _sweep_values(args, config: ExperimentConfig, axis: str):
@@ -335,19 +338,17 @@ def _sweep_values(args, config: ExperimentConfig, axis: str):
     return [v * scale for v in multiples]
 
 
-def _cmd_sweep(args, axis: str) -> int:
-    config = _config_from_args(args, per_point_beta=True)
+def _cmd_sweep(args) -> int:
+    axis = args.command.removeprefix("sweep-")
+    config = replace(_config_from_args(args, per_point_beta=True), dual_mode=args.dual_mode)
     values = _sweep_values(args, config, axis)
     reports = sweep(config, axis, values, workers=args.workers)
-    _print_conditions(reports)
-    if args.out:
-        extra = {"sweep_axis": axis, "sweep_values": [float(v) for v in values]}
-        emit_results(reports, args.format, args.out, build_manifest(reports, config, extra))
-    return 0
+    extra = {"sweep_axis": axis, "sweep_values": [float(v) for v in values]}
+    return _emit(args, reports, config, extra)
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args, per_point_beta=True, dual_mode="linearized")
+    config = _config_from_args(args, per_point_beta=True)
     params = config.params
     chi_ap = analytics.limit_chi(params, "adaptive")
     chi_dh = analytics.limit_chi(params, "dual_homodyne")
@@ -390,38 +391,33 @@ def _add_config_flags(parser, runs: bool):
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _cli_values(args) -> dict:
-    return {key: _parse_value(key, getattr(args, key))
-            for key in _KEYS if getattr(args, key) is not None}
-
-
-def _file_values(args) -> dict | None:
-    return _read_config_file(args.config) if args.config else None
-
-
-def _config_from_args(args, per_point_beta: bool = False, dual_mode: str | None = None):
+def _config_from_args(args, per_point_beta: bool = False) -> ExperimentConfig:
     """The run's ExperimentConfig. ``per_point_beta``: the command sets beta
     from chi at every point, so a numeric beta (flag or file) is an error."""
-    values, explicit = _merge_values(_file_values(args), _cli_values(args))
-    if per_point_beta and values["beta"] != "auto":
+    file_values = _read_config_file(args.config) if args.config else None
+    cli_values = {key: _parse_value(key, getattr(args, key))
+                  for key in _KEYS if getattr(args, key) is not None}
+    config = _build_config(_merge_values(file_values, cli_values))
+    if per_point_beta and config.beta not in ("auto", None):
         raise ParameterError(f"{args.command} sets beta from chi at every point: "
-                             f"beta must be 'auto', got {values['beta']!r}")
-    return _build_config(values, explicit, dual_mode=dual_mode or args.dual_mode)
+                             f"beta must be 'auto', got {config.beta!r}")
+    return config
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ouphase", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ouphase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in (
-        ("analytic", "print theory values without simulating"),
-        ("simulate", "run one Monte Carlo ensemble"),
-        ("sweep-chi", "ensembles over a grid of averaging rates"),
-        ("sweep-flux", "ensembles over photon fluxes at per-point optimal chi"),
-        ("compare", "four-technique comparison: filtered/smoothed x adaptive/dual"),
+    for name, handler, help_text in (
+        ("analytic", _cmd_analytic, "print theory values without simulating"),
+        ("simulate", _cmd_simulate, "run one Monte Carlo ensemble"),
+        ("sweep-chi", _cmd_sweep, "ensembles over a grid of averaging rates"),
+        ("sweep-flux", _cmd_sweep, "ensembles over photon fluxes at per-point optimal chi"),
+        ("compare", _cmd_compare, "four-technique comparison: filtered/smoothed x adaptive/dual"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_config_flags(p, runs=name != "analytic")
+        p.set_defaults(handler=handler)
+        _add_config_flags(p, runs=handler is not _cmd_analytic)
         if name.startswith("sweep"):
             p.add_argument("--values", help="comma-separated sweep values")
             p.add_argument("--relative", action="store_true",
@@ -436,15 +432,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "analytic":
-            return _cmd_analytic(args)
-        if args.command.startswith("sweep-"):
-            return _cmd_sweep(args, args.command.removeprefix("sweep-"))
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        raise ParameterError(f"unknown subcommand: {args.command!r}")
+        return args.handler(args)
     except (ParameterError, ConfigurationError) as exc:
         print(f"ouphase: error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,7 @@ class ParameterError(ValueError):
 
 
 class ConfigurationError(ParameterError):
-    """A run configuration is unusable (instability, decimation bias, no bracket)."""
+    """A run configuration is unusable (instability, decimation bias)."""
 
 
 class StatisticsError(RuntimeError):

@@ -270,8 +270,9 @@ class VarianceReport:
 
 def _condition(config: ExperimentConfig, mode: str, samples) -> Condition:
     analytic = analytics.analytic_mse(config, mode)
-    mc = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        mc = float(np.mean(samples))
+        stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
     if not (math.isfinite(mc) and math.isfinite(stderr)):
         raise StatisticsError(f"non-finite {mode} ensemble: mean {mc}, stderr {stderr}")
     if stderr == 0.0:
@@ -353,8 +354,8 @@ def sweep(
     adaptive scheme, beta follows sqrt(8*chi*N) per point. axis="flux": chi is
     re-optimized per point and per mode (each mode is measured at its own
     exact optimal rate), beta likewise, so the sweep traces the optimal MSEs
-    (a numeric beta is an error). Every point's config is built, and so
-    checked, before any trial runs.
+    (a numeric beta, or a flux whose optimum is chi -> 0, is an error). Every
+    point's config is built, and so checked, before any trial runs.
     """
     vals = _check_sweep_values(values)
     if axis not in ("chi", "flux"):
@@ -367,7 +368,10 @@ def sweep(
     for value in map(float, vals):
         params = replace(config.params, flux=value) if axis == "flux" else config.params
         for mode in modes:
-            chi = analytics.optimal_chi(params, mode, config.scheme).chi_star if mode else value
+            opt = analytics.optimal_chi(params, mode, config.scheme) if mode else None
+            if opt and opt.at_boundary:
+                raise ParameterError(f"flux {value:g} has no interior {mode} optimum: chi* -> 0")
+            chi = opt.chi_star if opt else value
             est = replace(config.estimator, chi_minus=chi, chi_plus=chi)
             configs.append(replace(config, params=params, estimator=est))
     reports = run_ensembles(configs, workers)

@@ -196,6 +196,29 @@ class TestOptimalChi:
             assert opt.chi_star == 0.0
             assert opt.mse_star == pytest.approx(params.kappa / (2 * params.lam), rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, 1e4, 6.1451e4, 3e5])
+    @pytest.mark.parametrize("scheme", ["adaptive", "dual_homodyne"])
+    def test_smoothed_root_solves_the_cubic(self, lam, scheme):
+        # u = chi* + lam solves u^3 - a*u - 2*a*lam = 0, a = 4*kappa*N'; the
+        # points span the trigonometric (lam < 0.19 sqrt(a)) and hyperbolic forms
+        params = ProcessParams(kappa=1.5868e4, lam=lam, flux=1.3499e6)
+        opt = optimal_chi(params, "smoothed", scheme)
+        assert not opt.at_boundary
+        a = 4 * params.kappa * analytics.effective_flux(params, scheme)
+        u = opt.chi_star + lam
+        assert abs(u**3 - a * u - 2 * a * lam) <= 1e-13 * (u**3 + a * u + 2 * a * lam)
+
+    @pytest.mark.parametrize("scheme", ["adaptive", "dual_homodyne"])
+    def test_smoothed_boundary_at_lam_squared_twelve_kappa_n(self, scheme):
+        kappa, flux = 1.0, 1e4
+        n_eff = analytics.effective_flux(ProcessParams(kappa=kappa, lam=1.0, flux=flux), scheme)
+        edge = math.sqrt(12 * kappa * n_eff)
+        for factor, at_boundary in ((0.999, False), (1.001, True)):
+            params = ProcessParams(kappa=kappa, lam=factor * edge, flux=flux)
+            opt = optimal_chi(params, "smoothed", scheme)
+            assert opt.at_boundary == at_boundary, factor
+            assert (opt.chi_star > 0) != at_boundary
+
     def test_unknown_mode(self, ap_params):
         with pytest.raises(ParameterError):
             optimal_chi(ap_params, "retrodicted")

@@ -5,7 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from ouphase import ParameterError
+from ouphase import ParameterError, ProcessParams, analytics
 from ouphase.cli import (
     DEFAULTS,
     _build_config,
@@ -56,6 +56,23 @@ class TestAnalytic:
         assert code == 0
         vals = parse_table(out)
         assert vals["filtered_mse"] == pytest.approx(0.07661229964901381, rel=1e-8)
+
+    def test_dual_rows_follow_the_scheme(self, capsys):
+        # no loop gain for a scheme without a loop; smoothing_gain at the dual
+        # scheme's own rate scale; the scheme comparison rows stay
+        code, out, _ = run(["analytic", "--scheme", "dual_homodyne"], capsys)
+        assert code == 0
+        vals = parse_table(out)
+        assert "optimal_beta" not in vals
+        params = ProcessParams(kappa=DEFAULTS["kappa"], lam=DEFAULTS["lambda"],
+                               flux=DEFAULTS["flux"])
+        chi = analytics.limit_chi(params, "dual_homodyne")
+        gain = (analytics.filtered_mse(params, chi, "dual_homodyne")
+                / analytics.smoothed_mse(params, chi, "dual_homodyne"))
+        assert vals["smoothing_gain"] == pytest.approx(gain, rel=1e-8)
+        assert vals["smoothing_gain"] != pytest.approx(
+            analytics.improvement_ratios(params).smoothing_gain, rel=1e-3)
+        assert vals["adaptive_gain"] == pytest.approx(math.sqrt(2), rel=1e-8)
 
     def test_out_json(self, tmp_path, capsys):
         dest = tmp_path / "analytic.json"
@@ -198,8 +215,7 @@ class TestConfigFile:
         path = tmp_path / "empty.cfg"
         path.write_text("")
         config = load_config(str(path))
-        values, explicit = _merge_values(None, None)
-        assert config == _build_config(values, explicit)
+        assert config == _build_config(_merge_values(None, None))
         assert config.params.kappa == DEFAULTS["kappa"]
         assert config.trials == DEFAULTS["trials"]
 
@@ -327,13 +343,18 @@ class TestExitCodes:
         assert code == 1
         assert "'abc'" in err
 
-    def test_non_finite_ensemble_is_two(self, capsys):
-        # the first trial fails with its own error, before numpy warns of an
-        # overflow (the suite turns RuntimeWarnings into errors)
-        code, out, err = run(["simulate", "--scheme", "dual_homodyne", "--flux", "1e-310",
-                              "--trials", "30", "--duration", "5e-4"], capsys)
+    @pytest.mark.parametrize("args, message", [
+        # the first trial fails with its own error, before numpy warns of an overflow
+        (["--scheme", "dual_homodyne", "--flux", "1e-310"], "non-finite filtered MSE in trial 0"),
+        # finite trials whose spread overflows: no RuntimeWarning escapes (the
+        # suite turns them into errors)
+        (["--kappa", "1e300"], "non-finite filtered ensemble: mean 1.3"),
+    ], ids=["trial", "spread"])
+    def test_non_finite_ensemble_is_two(self, args, message, capsys):
+        code, out, err = run(["simulate", *args, "--trials", "30", "--duration", "5e-4",
+                              "--seed", "7"], capsys)
         assert code == 2
-        assert "statistics error: non-finite filtered MSE in trial 0" in err
+        assert f"statistics error: {message}" in err
         assert "inf" not in out
 
     def test_dual_scheme_numeric_beta_is_one(self, capsys):
@@ -341,6 +362,33 @@ class TestExitCodes:
                            capsys)
         assert code == 1
         assert "beta applies to the adaptive scheme only" in err
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_dual_scheme_unset_beta_runs_no_loop_explicit_auto_is_one(self, via, tmp_path,
+                                                                       capsys):
+        def config_args(**values):
+            if via == "flag":
+                return [arg for key, value in values.items() for arg in (f"--{key}", value)]
+            path = tmp_path / "run.cfg"
+            path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+            return ["--config", str(path)]
+
+        dest = tmp_path / "run.json"
+        code, _, _ = run(["simulate", *FAST, *config_args(scheme="dual_homodyne"),
+                          "--format", "json", "--out", str(dest)], capsys)
+        assert code == 0
+        assert json.loads(dest.read_text())["config"]["beta"] is None
+        code, out, err = run(["simulate", *FAST,
+                              *config_args(scheme="dual_homodyne", beta="auto")], capsys)
+        assert code == 1
+        assert "beta applies to the adaptive scheme only, got 'auto'" in err
+        assert out == ""
+
+    def test_flux_without_interior_optimum_is_one(self, capsys):
+        code, out, err = run(["sweep-flux", *FAST, "--values", "1e3,1.35e6"], capsys)
+        assert code == 1
+        assert "flux 1000 has no interior filtered optimum" in err
+        assert out == ""
 
     def test_adaptive_arg_mode_is_one(self, capsys):
         code, _, err = run(["simulate", *FAST, "--dual-mode", "arg"], capsys)
@@ -407,8 +455,7 @@ class TestWorkerPool:
 
 class TestEmitGuards:
     def _report(self, mse):
-        cfg_values, explicit = _merge_values(None, {"trials": 30, "duration": 5e-4})
-        config = _build_config(cfg_values, explicit)
+        config = _build_config(_merge_values(None, {"trials": 30, "duration": 5e-4}))
         cond = Condition(scheme="adaptive", mode="filtered", chi=1e5, flux=1e6,
                          trials=30, mc_mse=mse, mc_stderr=1e-4, analytic_mse=0.05,
                          z_score=0.0)

@@ -369,6 +369,11 @@ class TestSweep:
             with pytest.raises(ParameterError, match="beta must be 'auto', got 1500000.0"):
                 sweep(make_config(duration=5e-4, beta=1.5e6), axis, values)
 
+    def test_flux_without_interior_optimum_rejected(self):
+        # at flux 1e3 both optima sit at chi -> 0: no estimator at chi = 0 is built
+        with pytest.raises(ParameterError, match="flux 1000 has no interior filtered optimum"):
+            sweep(make_config(duration=5e-4, trials=30), "flux", [1e3, 1.35e6])
+
     def test_chi_sweep_sets_rates_and_gain_per_point(self):
         cfg = make_config(duration=5e-4, trials=30)
         values = [2e5, 3.5e5]
