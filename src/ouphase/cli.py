@@ -18,7 +18,7 @@ from dataclasses import asdict, fields, replace
 from typing import Callable, NamedTuple
 
 from . import __version__, analytics
-from .errors import ConfigurationError, ParameterError, StatisticsError
+from .errors import ParameterError, StatisticsError
 from .estimators import EstimatorParams
 from .experiment import (
     Condition,
@@ -104,7 +104,11 @@ def _parse_value(key: str, raw: str):
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        for lineno, line in enumerate(lines, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -433,7 +437,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ParameterError, ConfigurationError) as exc:
+    except ParameterError as exc:
         print(f"ouphase: error: {exc}", file=sys.stderr)
         return 1
     except StatisticsError as exc:

@@ -130,9 +130,10 @@ def apply_estimators(series, params: EstimatorParams, grid: SimGrid) -> tuple[np
 def retained_window(grid: SimGrid, edge_discard: float) -> tuple[int, int]:
     """Index window [i0, i1) after dropping warmup and the edge spans."""
     edge_discard = check_real("edge_discard", edge_discard, at_least=0.0)
-    if 2.0 * edge_discard >= grid.duration - grid.warmup:
-        raise ParameterError(
-            "edge_discard too large: 2*edge_discard must be < duration - warmup"
+    span = grid.duration - grid.warmup
+    if 2.0 * edge_discard >= span:
+        raise ConfigurationError(
+            f"edge discard 2*{edge_discard:.3g} s leaves no data in a {span:.3g} s window"
         )
     i0 = int(round((grid.warmup + edge_discard) / grid.dt))
     i1 = grid.n_steps - int(round(edge_discard / grid.dt))

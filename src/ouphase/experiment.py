@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,11 +44,12 @@ __all__ = [
 
 MIN_TRIALS_FOR_STDERR = 30
 TRIAL_CHUNK = 8  # trial indices per pool task
+_THETA_KEY = attrgetter("scheme", "dual_mode", "_flux")  # configs with one key share theta
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one ensemble.
+    """Complete description of one ensemble, checked and resolved when built.
 
     ``beta`` is "auto" (resolve to sqrt(8*chi*N)) or a positive number for the
     adaptive scheme, and None for the dual scheme, where no feedback runs.
@@ -67,10 +69,14 @@ class ExperimentConfig:
     master_seed: int = 424242
     noise_scale: float = 1.0
     dual_mode: str = "linearized"
+    # what every trial needs, derived when built (``replace`` derives it again)
+    _loop: FeedbackParams | None = field(init=False, repr=False, compare=False)
+    _edge: float = field(init=False, repr=False, compare=False)
+    _flux: float = field(init=False, repr=False, compare=False)
+    _window: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scheme not in analytics.SCHEMES:
-            raise ParameterError(f"unknown scheme: {self.scheme!r}")
+        flux = analytics.effective_flux(self.params, self.scheme)  # checks the scheme
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
         check_index("master_seed", self.master_seed, SEED_BITS)
@@ -79,61 +85,52 @@ class ExperimentConfig:
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
         if self.scheme == "adaptive" and self.dual_mode != "linearized":
             raise ParameterError(f"dual_mode applies to the dual_homodyne scheme only: {self.dual_mode!r}")
+        est, dt = self.estimator, self.grid.dt
         if self.scheme != "adaptive":
             if self.beta is not None:
                 raise ParameterError(f"beta applies to the adaptive scheme only, got {self.beta!r}")
+            if est.source == "phihat":
+                raise ParameterError("source='phihat' requires the adaptive scheme")
         elif self.beta is None:
             raise ParameterError("adaptive scheme requires a feedback gain beta")
-        elif self.beta != "auto":
-            check_real_fields(self, "beta", above=0.0)
-        if self.scheme != "adaptive" and self.estimator.source == "phihat":
-            raise ParameterError("source='phihat' requires the adaptive scheme")
-        # fail early on too coarse a grid for either rate, bad loop constants,
-        # an unstable loop or an over-long edge discard
-        for chi in (self.estimator.chi_minus, self.estimator.chi_plus):
-            _check_rate(chi, self.grid.dt)
-        self.feedback()
-        check_real_fields(self, "omega0", at_least=0.0)  # after feedback(): its message first
-        self.resolved_edge_discard()
+        for chi in (est.chi_minus, est.chi_plus):
+            _check_rate(chi, dt)
+        loop = None
+        if self.scheme == "adaptive":
+            beta = self.beta
+            if beta == "auto":
+                beta = analytics.optimal_beta(max(est.chi_minus, est.chi_plus), self.params.flux)
+            loop = FeedbackParams(beta=beta, omega0=self.omega0)  # checks beta and omega0
+            if loop.beta * dt >= 0.5:
+                raise ConfigurationError(
+                    f"resolved beta*dt = {loop.beta * dt:.3g} >= 0.5 (unstable loop)"
+                )
+            object.__setattr__(self, "omega0", loop.omega0)  # the checked float
+        else:
+            check_real_fields(self, "omega0", at_least=0.0)
+        chi_min = min(est.chi_minus, est.chi_plus)
+        edge = est.edge_discard
+        if edge is None:
+            edge = default_edge_discard(chi_min, loop and loop.beta, self.params.lam,
+                                        self.grid.duration - self.grid.warmup)
+        elif edge < 5.0 / chi_min:
+            raise ParameterError(
+                "edge_discard must be >= 5/min(chi_minus, chi_plus) "
+                "when statistics are requested"
+            )
+        for name, value in (("_loop", loop), ("_edge", edge), ("_flux", flux),
+                            ("_window", retained_window(self.grid, edge))):
+            object.__setattr__(self, name, value)
 
     def feedback(self) -> FeedbackParams | None:
         """The feedback loop's constants (adaptive scheme), else None."""
-        beta = self.resolved_beta()
-        if beta is None:
-            return None
-        return FeedbackParams(beta=beta, omega0=self.omega0)
+        return self._loop
 
     def resolved_beta(self) -> float | None:
-        if self.scheme != "adaptive":
-            return None
-        if self.beta == "auto":
-            chi_ref = max(self.estimator.chi_minus, self.estimator.chi_plus)
-            beta = analytics.optimal_beta(chi_ref, self.params.flux)
-        else:
-            beta = float(self.beta)
-        if beta * self.grid.dt >= 0.5:
-            raise ConfigurationError(
-                f"resolved beta*dt = {beta * self.grid.dt:.3g} >= 0.5 (unstable loop)"
-            )
-        return beta
+        return None if self._loop is None else self._loop.beta
 
     def resolved_edge_discard(self) -> float:
-        span = self.grid.duration - self.grid.warmup
-        chi_min = min(self.estimator.chi_minus, self.estimator.chi_plus)
-        if self.estimator.edge_discard is not None:
-            edge = self.estimator.edge_discard
-            if edge < 5.0 / chi_min:
-                raise ParameterError(
-                    "edge_discard must be >= 5/min(chi_minus, chi_plus) "
-                    "when statistics are requested"
-                )
-        else:
-            edge = default_edge_discard(chi_min, self.resolved_beta(), self.params.lam, span)
-        if 2.0 * edge >= span:
-            raise ConfigurationError(
-                f"edge discard 2*{edge:.3g} s leaves no data in a {span:.3g} s window"
-            )
-        return edge
+        return self._edge
 
 
 def default_edge_discard(chi_min: float, beta: float | None, lam: float, span: float) -> float:
@@ -184,9 +181,9 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. phi is drawn
-    once. Linearized theta (``linearized_theta``) is built once for each
-    consecutive run of configs with the same (scheme, N'), the dual arg model
-    once per config; ``source="phihat"`` filters theta (``feedback_estimate``).
+    once. theta is built once for each consecutive run of configs with the
+    same (scheme, dual_mode, N'), by ``linearized_theta`` or (arg model)
+    ``run_dual_homodyne``; ``source="phihat"`` filters it (``feedback_estimate``).
 
     No smoothed series is built: its MSE is the quadratic form
     w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
@@ -199,27 +196,21 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     grid = c0.grid
     phi = simulate_ou(c0.params, grid, phase, init="stationary" if c0.params.lam > 0 else 0.0)
 
-    results, held, source, theta = [], None, None, None
+    results, key = [], None
     for config in configs:
-        # the previous config's errors and input go before this one's arrays
-        # are built; the last config's go at return, after phi and source
-        # (freed before them, they leave one more array per trial to fault in again)
-        f = b = source = None
-        flux = analytics.effective_flux(config.params, config.scheme)
-        key = None if config.dual_mode == "arg" else (config.scheme, flux)
-        if key is None or key != held:
-            theta = None  # free the previous theta before building this one
-            if key is None:  # the dual scheme's arg model
+        f = b = source = None  # the previous config's arrays go before this one's are built
+        if _THETA_KEY(config) != key:
+            key, theta = _THETA_KEY(config), None
+            if config.dual_mode == "arg":
                 theta = run_dual_homodyne(phi, config.params, grid, (meas1, meas2))
             else:
                 meas = meas1 if config.scheme == "adaptive" else meas2
                 # dW is not bound to a name, so it is freed before the estimators run
                 theta = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt),
-                                         flux, grid.dt)
-        held = key
-        source = (feedback_estimate(theta, config.feedback(), grid.dt)
+                                         config._flux, grid.dt)
+        source = (feedback_estimate(theta, config._loop, grid.dt)
                   if config.estimator.source == "phihat" else theta)
-        i0, i1 = retained_window(grid, config.resolved_edge_discard())
+        i0, i1 = config._window
         f, b = (x[i0:i1] for x in apply_estimators(source, config.estimator, grid))
         wm, wp = config.estimator.w_minus, config.estimator.w_plus
         with np.errstate(over="ignore", invalid="ignore"):
@@ -234,6 +225,9 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
             if not math.isfinite(value):
                 raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
         results.append(TrialResult(mses["filtered"], mses["smoothed"], mses["backward"]))
+    # the forward errors go last: freed before phi, theta or the backward ones,
+    # they leave one more array per trial for the heap to fault in again
+    del phi, theta, source, b
     return results
 
 

@@ -7,7 +7,9 @@ Two families, both derived without reusing the package's formulas:
 * exact closed forms for the discretely sampled model (AR(1) signal plus
   white measurement noise through the pinned averaging recursions), used to
   predict Monte Carlo means at finite dt, including their discretization
-  offset from the continuous formulas.
+  offset from the continuous formulas;
+* the errors of the optimal linear estimators of the continuous model
+  (Kalman-Bucy filter, Wiener smoother), lower bounds for any averaging rate.
 """
 
 import math
@@ -106,3 +108,16 @@ def discrete_combined_mse(kappa, lam, flux, chi_minus, chi_plus, w_minus, w_plus
 def discrete_dual_filtered_mse(kappa, lam, flux, chi, dt):
     """Dual-homodyne variant: per-sample noise variance 1/(2*flux*dt)."""
     return discrete_filtered_mse(kappa, lam, flux / 2.0, chi, dt)
+
+
+def kalman_bucy_mse(kappa, lam, flux):
+    """Stationary error of the optimal causal estimator, (gamma - lam)/(4*N)
+    with gamma = sqrt(lam^2 + 4*kappa*N): the positive root of the Riccati
+    equation 0 = kappa - 2*lam*P - 4*N*P^2 for measurement noise density 1/(4*N)."""
+    return (math.sqrt(lam * lam + 4.0 * kappa * flux) - lam) / (4.0 * flux)
+
+
+def wiener_smoother_mse(kappa, lam, flux):
+    """Error of the optimal non-causal estimator, kappa/(2*gamma): the
+    integral of S_phi*R/(S_phi + R) over frequency, R = 1/(4*N)."""
+    return kappa / (2.0 * math.sqrt(lam * lam + 4.0 * kappa * flux))

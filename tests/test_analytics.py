@@ -24,9 +24,11 @@ from ouphase import (
 
 from oracles import (
     CHI_OP,
+    kalman_bucy_mse,
     quad_correlation,
     quad_filtered_mse,
     quad_smoothed_mse,
+    wiener_smoother_mse,
 )
 
 
@@ -218,6 +220,28 @@ class TestOptimalChi:
             opt = optimal_chi(params, "smoothed", scheme)
             assert opt.at_boundary == at_boundary, factor
             assert (opt.chi_star > 0) != at_boundary
+
+    @pytest.mark.parametrize("scheme", ["adaptive", "dual_homodyne"])
+    def test_optimal_estimators_bound_the_optima(self, scheme):
+        # no averaging rate beats the Kalman-Bucy filter (filtered) or the Wiener
+        # smoother (smoothed); lam/sqrt(kappa*N) up to 100 puts boundary optima
+        # on the grid, and at lam = 0 the exponential kernels are optimal
+        bounds = {"filtered": kalman_bucy_mse, "smoothed": wiener_smoother_mse}
+        rng = np.random.default_rng(20090)
+        boundary = 0
+        for kappa, flux, ratio in 10.0 ** rng.uniform([2, 3, -3], [6, 8, 2], size=(300, 3)):
+            lam = ratio * math.sqrt(kappa * flux)
+            for lam_k in (lam, 0.0):
+                params = ProcessParams(kappa=kappa, lam=lam_k, flux=flux)
+                n_eff = analytics.effective_flux(params, scheme)
+                for mode, bound in bounds.items():
+                    opt = optimal_chi(params, mode, scheme)
+                    floor = bound(kappa, lam_k, n_eff)
+                    assert opt.mse_star >= floor * (1 - 1e-12), (mode, kappa, lam_k, flux)
+                    if lam_k == 0.0:
+                        assert opt.mse_star == pytest.approx(floor, rel=1e-12)
+                    boundary += opt.at_boundary
+        assert boundary > 0
 
     def test_unknown_mode(self, ap_params):
         with pytest.raises(ParameterError):

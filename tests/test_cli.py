@@ -97,13 +97,16 @@ class TestAnalytic:
         (["--trials", "0"], "trials must be an integer >= 1"),
         (["--w-minus", "0.3"], "w_minus + w_plus must sum to 1"),
         (["--scheme", "dual_homodyne", "--beta", "5"], "beta applies to the adaptive scheme only"),
-    ], ids=["dt", "trials", "weights", "dual-beta"])
+        (["--scheme", "dual_homodyne", "--dt", "1e-6", "--chi", "1e5", "--edge-discard", "5e-5",
+          "--duration", "1.014e-4"], "retained window is empty"),
+    ], ids=["dt", "trials", "weights", "dual-beta", "empty-window"])
     def test_invalid_config_is_one(self, flags, message, capsys):
         # the whole config is checked, as for the commands that simulate
-        code, out, err = run(["analytic", *flags], capsys)
-        assert code == 1
-        assert message in err
-        assert out == ""
+        for command in ("analytic", "simulate"):
+            code, out, err = run([command, *flags], capsys)
+            assert code == 1, command
+            assert message in err
+            assert out == ""
 
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "0"],
                                       ["--dual-mode", "arg"]])
@@ -326,6 +329,14 @@ class TestExitCodes:
     def test_missing_config_file_is_one(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
+
+    def test_non_utf8_config_file_is_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"kappa = 1\xff\n")
+        code, out, err = run(["simulate", "--config", str(path)], capsys)
+        assert code == 1
+        assert err == f"ouphase: error: {path}: not UTF-8 text: invalid start byte\n"
+        assert out == ""
 
     @pytest.mark.parametrize("key", list(DEFAULTS))
     def test_bad_value_is_one_as_flag_and_file_line(self, key, tmp_path, capsys):

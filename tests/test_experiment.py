@@ -1,10 +1,11 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import ouphase.analytics
 import ouphase.experiment
 from ouphase import (
     ConfigurationError,
@@ -174,6 +175,20 @@ class TestConfigValidation:
             with pytest.raises(ParameterError, match="omega0 must be finite and >= 0"):
                 make_config(scheme="dual_homodyne", beta=None, omega0=omega0)
 
+    def test_derived_values_are_not_fields_and_follow_replace(self):
+        # the loop, edge discard, N' and window are derived when a config is
+        # built: not settable, not shown, and derived again by replace
+        cfg = make_config()
+        assert [f.name for f in fields(cfg) if f.init] == [
+            "params", "grid", "estimator", "scheme", "beta", "omega0", "trials",
+            "master_seed", "noise_scale", "dual_mode"]
+        assert "_loop" not in repr(cfg)
+        moved = replace(cfg, estimator=EstimatorParams(2e5, 2e5))
+        assert moved.resolved_beta() == optimal_beta(2e5, cfg.params.flux)
+        back = replace(moved, estimator=cfg.estimator)
+        assert back == cfg and hash(back) == hash(cfg)
+        assert back.feedback() == cfg.feedback()
+
 
 class TestEdgePolicy:
     def test_default_includes_reversion_term_when_it_fits(self):
@@ -198,6 +213,13 @@ class TestEdgePolicy:
         est = EstimatorParams(CHI_OP, CHI_OP, edge_discard=6e-4)
         with pytest.raises(ConfigurationError):
             make_config(duration=1e-3, estimator=est)
+
+    def test_empty_window_rejected_at_construction(self):
+        # 2*edge fits in the span, but rounding to the grid leaves one sample
+        est = EstimatorParams(1e5, 1e5, edge_discard=5e-5)
+        with pytest.raises(ParameterError, match="retained window is empty"):
+            make_config(dt=1e-6, duration=1.014e-4, estimator=est, scheme="dual_homodyne",
+                        beta=None)
 
     def test_policy_function(self):
         assert default_edge_discard(1e5, None, 0.0, 1.0) == pytest.approx(5e-5)
@@ -271,6 +293,20 @@ class TestRunTrial:
         # the loop estimate is one more array, filtered from theta: no loop record
         cfg = make_config(estimator=PHIHAT)
         assert peak_bytes(lambda: run_trial(cfg, 0)) <= 5.5 * 8 * cfg.grid.n_steps
+
+    def test_calls_no_analytics(self, monkeypatch):
+        # everything a trial needs was resolved when its config was built
+        configs = [make_config(), make_config(estimator=PHIHAT),
+                   make_config(scheme="dual_homodyne", beta=None, dual_mode="arg")]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial called an analytics function")
+
+        for name in ouphase.analytics.__all__:
+            if callable(getattr(ouphase.analytics, name)):
+                monkeypatch.setattr(ouphase.analytics, name, fail)
+        for config in configs:
+            assert run_trials([config], 0) == [run_trial(config, 0)]
 
     def test_pure_diffusion_fixed_init(self):
         params = ProcessParams(kappa=1.6e4, lam=0.0, flux=1.35e6)
@@ -433,8 +469,9 @@ def compare_configs(dual_mode):
 
 
 def count_draws(monkeypatch):
-    """Counts of the phase trajectories and Wiener increments a run draws."""
-    calls = {"simulate_ou": 0, "wiener_increments": 0}
+    """Counts of the phase trajectories, Wiener increments and two-arm dual
+    homodyne runs a run draws."""
+    calls = {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
     for name in calls:
         original = getattr(ouphase.experiment, name)
 
@@ -477,6 +514,7 @@ class TestRunEnsembles:
         dual = dict(scheme="dual_homodyne", beta=None)
         configs = [*with_chi(base, 2e5, 3e5), replace(base, estimator=PHIHAT),
                    make_config(seed=5, chi=2e5, **dual), make_config(seed=5, dual_mode="arg", **dual),
+                   make_config(seed=5, chi=2.5e5, dual_mode="arg", **dual),
                    make_config(seed=5, chi=2.5e5, **dual), *with_chi(base, 4e5),
                    replace(base, params=ProcessParams(**{**AP, "flux": 2.7e6}))]
         for trial in (0, 7):
@@ -502,17 +540,21 @@ class TestRunEnsembles:
             run_ensembles([])
 
     @pytest.mark.parametrize("run, draws", [
-        (lambda: sweep(make_config(duration=5e-4), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30)),
+        (lambda: sweep(make_config(duration=5e-4), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30, 0)),
         (lambda: sweep(make_config(duration=5e-4, estimator=PHIHAT), "chi",
-                       [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30)),
-        (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60)),
-        (lambda: run_ensembles(compare_configs("linearized")), (30, 60)),
-    ], ids=["chi-sweep", "chi-sweep-phihat", "flux-sweep", "compare"])
+                       [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30, 0)),
+        (lambda: sweep(make_config(duration=5e-4, scheme="dual_homodyne", beta=None,
+                                   dual_mode="arg"), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]),
+         (30, 0, 30)),
+        (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60, 0)),
+        (lambda: run_ensembles(compare_configs("linearized")), (30, 60, 0)),
+    ], ids=["chi-sweep", "chi-sweep-phihat", "chi-sweep-arg", "flux-sweep", "compare"])
     def test_draws_each_trial_index_once(self, run, draws, monkeypatch):
-        # one phi per trial index; one dW per trial index and N'
+        # one phi per trial index; one theta (a dW or a two-arm run) per trial
+        # index and detector model at each N'
         calls = count_draws(monkeypatch)
         run()
-        assert (calls["simulate_ou"], calls["wiener_increments"]) == draws
+        assert tuple(calls.values()) == draws
 
     def test_sweep_checks_every_point_before_any_trial(self, monkeypatch):
         calls = count_draws(monkeypatch)
