@@ -61,7 +61,7 @@ class _Key(NamedTuple):
 # The config-file keys. Each is also a --flag (``_`` -> ``-``) parsed by the
 # same rule. The defaults are the headline adaptive operating point, so that
 # a bare `ouphase simulate` demonstrates the filtered/smoothed comparison; an
-# unset beta is 'auto' for the adaptive scheme and no loop for the dual one.
+# unset beta stays None, which ExperimentConfig resolves for either scheme.
 _KEYS = {
     "kappa": _Key(1.5868e4, _real),
     "lambda": _Key(6.1451e4, _real),
@@ -144,15 +144,12 @@ def _build_config(values: dict) -> ExperimentConfig:
         source=values["source"],
         edge_discard=None if edge == "auto" else edge,
     )
-    beta = values["beta"]
-    if beta is None and values["scheme"] == "adaptive":
-        beta = "auto"  # unset: the loop gain follows chi
     return ExperimentConfig(
         params=params,
         grid=grid,
         estimator=estimator,
         scheme=values["scheme"],
-        beta=beta,
+        beta=values["beta"],
         omega0=values["omega0"],
         trials=values["trials"],
         master_seed=values["seed"],
@@ -195,7 +192,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "flux": config.params.flux,
         "chi": e.chi_minus,
         "chi_plus": e.chi_plus,
-        "beta": config.resolved_beta(),
+        "beta": None if config.loop is None else config.loop.beta,
         "omega0": config.omega0,
         "dt": config.grid.dt,
         "duration": config.grid.duration,
@@ -206,7 +203,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "source": e.source,
         "w_minus": e.w_minus,
         "w_plus": e.w_plus,
-        "edge_discard": config.resolved_edge_discard(),
+        "edge_discard": config.edge_discard,
         "noise_scale": config.noise_scale,
         "dual_mode": config.dual_mode,
     }
@@ -256,16 +253,14 @@ def emit_results(reports, fmt: str, destination: str, manifest: dict | None = No
 # subcommands
 
 
-def _print_conditions(reports, file=None):
-    file = file if file is not None else sys.stdout
+def _print_conditions(reports):
     header = f"{'scheme':<14}{'mode':<10}{'chi':>12}{'flux':>12}{'trials':>8}" \
              f"{'mc_mse':>13}{'mc_stderr':>13}{'analytic':>13}{'z':>8}"
-    print(header, file=file)
+    print(header)
     for c in _ordered_conditions(reports):
         print(
             f"{c.scheme:<14}{c.mode:<10}{c.chi:>12.6g}{c.flux:>12.6g}{c.trials:>8d}"
-            f"{c.mc_mse:>13.6g}{c.mc_stderr:>13.3g}{c.analytic_mse:>13.6g}{c.z_score:>+8.2f}",
-            file=file,
+            f"{c.mc_mse:>13.6g}{c.mc_stderr:>13.3g}{c.analytic_mse:>13.6g}{c.z_score:>+8.2f}"
         )
 
 
@@ -316,7 +311,7 @@ def _cmd_analytic(args) -> int:
 
 
 def _emit(args, reports, config=None, extra=None) -> int:
-    """The tail of simulate and sweep-*: the table, and --out if given."""
+    """The tail of every command that simulates: the table, and --out if given."""
     _print_conditions(reports)
     if args.out:
         emit_results(reports, args.format, args.out, build_manifest(reports, config, extra))
@@ -344,7 +339,7 @@ def _sweep_values(args, config: ExperimentConfig, axis: str):
 
 def _cmd_sweep(args) -> int:
     axis = args.command.removeprefix("sweep-")
-    config = replace(_config_from_args(args, per_point_beta=True), dual_mode=args.dual_mode)
+    config = replace(_config_from_args(args), dual_mode=args.dual_mode)
     values = _sweep_values(args, config, axis)
     reports = sweep(config, axis, values, workers=args.workers)
     extra = {"sweep_axis": axis, "sweep_values": [float(v) for v in values]}
@@ -352,30 +347,29 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args, per_point_beta=True)
+    config = _config_from_args(args)
+    if config.beta not in ("auto", None):
+        raise ParameterError("compare sets beta from chi at every point: "
+                             f"beta must be 'auto', got {config.beta!r}")
     params = config.params
     chi_ap = analytics.limit_chi(params, "adaptive")
     chi_dh = analytics.limit_chi(params, "dual_homodyne")
     est_ap = replace(config.estimator, chi_minus=chi_ap, chi_plus=chi_ap)
     est_dh = replace(config.estimator, chi_minus=chi_dh, chi_plus=chi_dh, source="theta")
-    rep_ap, rep_dh = run_ensembles(
-        [replace(config, scheme="adaptive", beta="auto", estimator=est_ap),
+    reports = run_ensembles(
+        [replace(config, scheme="adaptive", estimator=est_ap),
          replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh,
                  dual_mode=args.dual_mode)],
         workers=args.workers,
     )
-    gains = compare_schemes(rep_ap, rep_dh)
-    _print_conditions([rep_ap, rep_dh])
+    gains = compare_schemes(*reports)
+    extra = {"dual_mode": args.dual_mode, "compare_chi_adaptive": chi_ap, "compare_chi_dual": chi_dh}
+    _emit(args, reports, reports[0].config, extra)
     print()
     print(f"{'smoothing_gain':<20} {gains.smoothing_gain:.6g} +- {gains.smoothing_gain_stderr:.3g}")
     print(f"{'adaptive_gain':<20} {gains.adaptive_gain:.6g} +- {gains.adaptive_gain_stderr:.3g}")
     print(f"{'total_gain':<20} {gains.total_gain:.6g} +- {gains.total_gain_stderr:.3g}")
     print(f"{'sql_mse':<20} {analytics.sql_mse(params):.9g}")
-    if args.out:
-        extra = {"dual_mode": args.dual_mode,
-                 "compare_chi_adaptive": chi_ap, "compare_chi_dual": chi_dh}
-        emit_results([rep_ap, rep_dh], args.format, args.out,
-                     build_manifest([rep_ap, rep_dh], rep_ap.config, extra))
     return 0
 
 
@@ -395,17 +389,12 @@ def _add_config_flags(parser, runs: bool):
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _config_from_args(args, per_point_beta: bool = False) -> ExperimentConfig:
-    """The run's ExperimentConfig. ``per_point_beta``: the command sets beta
-    from chi at every point, so a numeric beta (flag or file) is an error."""
+def _config_from_args(args) -> ExperimentConfig:
+    """The run's ExperimentConfig: command line over config file over defaults."""
     file_values = _read_config_file(args.config) if args.config else None
     cli_values = {key: _parse_value(key, getattr(args, key))
                   for key in _KEYS if getattr(args, key) is not None}
-    config = _build_config(_merge_values(file_values, cli_values))
-    if per_point_beta and config.beta not in ("auto", None):
-        raise ParameterError(f"{args.command} sets beta from chi at every point: "
-                             f"beta must be 'auto', got {config.beta!r}")
-    return config
+    return _build_config(_merge_values(file_values, cli_values))
 
 
 def build_parser() -> _Parser:

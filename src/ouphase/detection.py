@@ -38,7 +38,8 @@ class FeedbackParams:
     (both 1/s). The loop starts from the estimate 0.
 
     The loop operates in the regime omega0 << beta; omega0 >= beta is
-    rejected. ``beta*dt < 0.5`` is checked when a run starts.
+    rejected. The sampled loop also needs ``beta*dt < 0.5`` (``check_step``),
+    which an ExperimentConfig checks when it is built.
     """
 
     beta: float
@@ -49,6 +50,11 @@ class FeedbackParams:
         check_real_fields(self, "omega0")
         if not 0 <= self.omega0 < self.beta:
             raise ParameterError("omega0 must satisfy 0 <= omega0 < beta")
+
+    def check_step(self, dt: float) -> None:
+        """ConfigurationError unless the loop is stable at step dt: beta*dt < 0.5."""
+        if self.beta * dt >= 0.5:
+            raise ConfigurationError(f"feedback loop unstable: beta*dt = {self.beta * dt:.3g} >= 0.5")
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,7 @@ def feedback_estimate(theta, fb: FeedbackParams, dt: float) -> np.ndarray:
 
         phihat[k+1] = (1 - (omega0+beta)*dt) * phihat[k] + beta*dt * theta[k]
     """
-    if fb.beta * dt >= 0.5:
-        raise ConfigurationError(f"feedback loop unstable: beta*dt = {fb.beta * dt:.3g} >= 0.5")
+    fb.check_step(dt)
     a = 1.0 - (fb.omega0 + fb.beta) * dt
     return lfilter([0.0, fb.beta * dt], [1.0, -a], theta)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import analytics
 from .detection import FeedbackParams, feedback_estimate, linearized_theta, run_dual_homodyne
 from .detection import run_adaptive_loop  # noqa: F401  bench/tracer.py wraps this name
-from .errors import ConfigurationError, ParameterError, StatisticsError
+from .errors import ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
 from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
@@ -44,36 +44,43 @@ __all__ = [
 
 MIN_TRIALS_FOR_STDERR = 30
 TRIAL_CHUNK = 8  # trial indices per pool task
-_THETA_KEY = attrgetter("scheme", "dual_mode", "_flux")  # configs with one key share theta
+_THETA_KEY = attrgetter("scheme", "dual_mode", "n_eff")  # configs with one key share theta
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one ensemble, checked and resolved when built.
 
-    ``beta`` is "auto" (resolve to sqrt(8*chi*N)) or a positive number for the
-    adaptive scheme, and None for the dual scheme, where no feedback runs.
-    ``noise_scale`` scales all noise streams and exists for deterministic
-    noise-free runs in tests; production runs leave it at 1. ``omega0`` is
-    >= 0, and below beta for the adaptive scheme. ``dual_mode``, the dual
-    detector's model, is "linearized" or (dual scheme only) "arg".
+    ``beta`` left unset (None) gives the adaptive scheme the loop gain
+    sqrt(8*chi*N) and the dual scheme, where no feedback runs, no loop; it
+    may also be "auto" (that same gain) or a positive number, both for the
+    adaptive scheme only. ``noise_scale`` scales all noise streams and exists
+    for deterministic noise-free runs in tests; production runs leave it at 1.
+    ``omega0`` is >= 0, and below beta for the adaptive scheme. ``dual_mode``,
+    the dual detector's model, is "linearized" or (dual scheme only) "arg".
+
+    What every trial needs is derived when the config is built (``replace``
+    derives it again) and kept in read-only attributes that are not init
+    arguments and stay out of ``==``, ``repr`` and hashing: ``loop``, the
+    feedback loop (``FeedbackParams``, None for the dual scheme),
+    ``edge_discard``, the resolved span dropped from both ends, ``n_eff``, the
+    effective flux N', and ``window``, the retained sample range.
     """
 
     params: ProcessParams
     grid: SimGrid
     estimator: EstimatorParams
     scheme: str = "adaptive"
-    beta: float | str | None = "auto"
+    beta: float | str | None = None
     omega0: float = 100.0
     trials: int = 200
     master_seed: int = 424242
     noise_scale: float = 1.0
     dual_mode: str = "linearized"
-    # what every trial needs, derived when built (``replace`` derives it again)
-    _loop: FeedbackParams | None = field(init=False, repr=False, compare=False)
-    _edge: float = field(init=False, repr=False, compare=False)
-    _flux: float = field(init=False, repr=False, compare=False)
-    _window: tuple[int, int] = field(init=False, repr=False, compare=False)
+    loop: FeedbackParams | None = field(init=False, repr=False, compare=False)
+    edge_discard: float = field(init=False, repr=False, compare=False)
+    n_eff: float = field(init=False, repr=False, compare=False)
+    window: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flux = analytics.effective_flux(self.params, self.scheme)  # checks the scheme
@@ -91,20 +98,15 @@ class ExperimentConfig:
                 raise ParameterError(f"beta applies to the adaptive scheme only, got {self.beta!r}")
             if est.source == "phihat":
                 raise ParameterError("source='phihat' requires the adaptive scheme")
-        elif self.beta is None:
-            raise ParameterError("adaptive scheme requires a feedback gain beta")
         for chi in (est.chi_minus, est.chi_plus):
             _check_rate(chi, dt)
         loop = None
         if self.scheme == "adaptive":
             beta = self.beta
-            if beta == "auto":
+            if beta in ("auto", None):
                 beta = analytics.optimal_beta(max(est.chi_minus, est.chi_plus), self.params.flux)
             loop = FeedbackParams(beta=beta, omega0=self.omega0)  # checks beta and omega0
-            if loop.beta * dt >= 0.5:
-                raise ConfigurationError(
-                    f"resolved beta*dt = {loop.beta * dt:.3g} >= 0.5 (unstable loop)"
-                )
+            loop.check_step(dt)
             object.__setattr__(self, "omega0", loop.omega0)  # the checked float
         else:
             check_real_fields(self, "omega0", at_least=0.0)
@@ -118,19 +120,9 @@ class ExperimentConfig:
                 "edge_discard must be >= 5/min(chi_minus, chi_plus) "
                 "when statistics are requested"
             )
-        for name, value in (("_loop", loop), ("_edge", edge), ("_flux", flux),
-                            ("_window", retained_window(self.grid, edge))):
+        for name, value in (("loop", loop), ("edge_discard", edge), ("n_eff", flux),
+                            ("window", retained_window(self.grid, edge))):
             object.__setattr__(self, name, value)
-
-    def feedback(self) -> FeedbackParams | None:
-        """The feedback loop's constants (adaptive scheme), else None."""
-        return self._loop
-
-    def resolved_beta(self) -> float | None:
-        return None if self._loop is None else self._loop.beta
-
-    def resolved_edge_discard(self) -> float:
-        return self._edge
 
 
 def default_edge_discard(chi_min: float, beta: float | None, lam: float, span: float) -> float:
@@ -207,10 +199,10 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
                 meas = meas1 if config.scheme == "adaptive" else meas2
                 # dW is not bound to a name, so it is freed before the estimators run
                 theta = linearized_theta(phi, wiener_increments(meas, grid.n_steps, grid.dt),
-                                         config._flux, grid.dt)
-        source = (feedback_estimate(theta, config._loop, grid.dt)
+                                         config.n_eff, grid.dt)
+        source = (feedback_estimate(theta, config.loop, grid.dt)
                   if config.estimator.source == "phihat" else theta)
-        i0, i1 = config._window
+        i0, i1 = config.window
         f, b = (x[i0:i1] for x in apply_estimators(source, config.estimator, grid))
         wm, wp = config.estimator.w_minus, config.estimator.w_plus
         with np.errstate(over="ignore", invalid="ignore"):
@@ -355,7 +347,8 @@ def sweep(
     if axis not in ("chi", "flux"):
         raise ParameterError(f"unknown sweep axis: {axis!r}")
     if config.beta not in ("auto", None):
-        raise ParameterError(f"sweep sets beta at every point: beta must be 'auto', got {config.beta!r}")
+        raise ParameterError(f"a {axis} sweep sets beta from chi at every point: "
+                             f"beta must be 'auto', got {config.beta!r}")
     # a flux point measures each mode at its own rate; a chi point is one config
     modes = ("filtered", "smoothed") if axis == "flux" else (None,)
     configs = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
 
 SEED_BITS = 64
 TRIAL_BITS = 61  # trial_index*8 + role must fit in the uint64 Philox key word
+MAX_STEPS = sys.maxsize // 8  # the longest float64 array numpy can address
 
 
 class Role(enum.IntEnum):
@@ -114,6 +116,9 @@ class SimGrid:
         check_real_fields(self, "warmup", at_least=0.0)
         if self.warmup >= self.duration:
             raise ParameterError("warmup must satisfy 0 <= warmup < duration")
+        steps = self.duration / self.dt
+        if not math.isfinite(steps) or self.n_steps > MAX_STEPS:
+            raise ParameterError(f"grid too long: duration/dt = {steps:.3g} steps (at most {MAX_STEPS})")
         if self.n_steps < 2:
             raise ParameterError("grid must contain at least 2 steps")
 
@@ -169,6 +174,5 @@ def simulate_ou(
                math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam)))
     x = stream.normals(n)  # x[0] seeds the initial condition in stationary mode
     x0 = math.sqrt(params.stationary_variance) * x[0] if stationary else init
-    x *= step_sd
-    x[0] = x0
-    return lfilter([1.0], [1.0, -decay], x)
+    x[0] = 0.0  # phi[0] = x0 comes in through the filter state; the gain scales the rest
+    return lfilter([step_sd], [1.0, -decay], x, zi=[x0])[0]

@@ -154,11 +154,18 @@ class TestSimulate:
         assert code == 0
         assert dest.read_text() == dest2.read_text()
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path, capsys):
-        a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        assert run(["simulate", *FAST, "--out", str(a)], capsys)[0] == 0
-        assert run(["simulate", *FAST, "--out", str(b)], capsys)[0] == 0
-        assert run(["simulate", *FAST, "--out", str(c), "--workers", "2"], capsys)[0] == 0
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        # the multi-config commands, which share each trial index's draws in one pool
+        ["sweep-chi", "--format", "json"],
+        ["sweep-flux", "--format", "json"],
+        ["compare", "--format", "json"],
+    ], ids=lambda argv: argv[0])
+    def test_byte_identical_across_runs_and_workers(self, argv, tmp_path, capsys):
+        a, b, c = (tmp_path / n for n in ("a.out", "b.out", "c.out"))
+        assert run([*argv, *FAST, "--out", str(a)], capsys)[0] == 0
+        assert run([*argv, *FAST, "--out", str(b)], capsys)[0] == 0
+        assert run([*argv, *FAST, "--out", str(c), "--workers", "2"], capsys)[0] == 0
         assert filecmp.cmp(a, b, shallow=False)
         assert filecmp.cmp(a, c, shallow=False)
 
@@ -226,7 +233,7 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("beta = auto\nchi = 2.92714e5\nflux = 1.3499e6\n")
         config = load_config(str(path))
-        assert config.resolved_beta() == pytest.approx(1777941.795672738, rel=1e-12)
+        assert config.loop.beta == pytest.approx(1777941.795672738, rel=1e-12)
 
     def test_weight_sum_violation_names_invariant(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -406,16 +413,36 @@ class TestExitCodes:
         assert code == 1
         assert "dual_mode applies to the dual_homodyne scheme only" in err
 
-    @pytest.mark.parametrize("command", ["sweep-chi", "sweep-flux", "compare"])
-    def test_per_point_beta_commands_reject_numeric_beta(self, command, tmp_path, capsys):
-        # these commands set beta from chi at every point; a fixed beta would be ignored
+    @pytest.mark.parametrize("command, who", [("sweep-chi", "a chi sweep"),
+                                              ("sweep-flux", "a flux sweep"),
+                                              ("compare", "compare")],
+                             ids=["sweep-chi", "sweep-flux", "compare"])
+    def test_per_point_beta_commands_reject_numeric_beta(self, command, who, tmp_path, capsys):
+        # these commands set beta from chi at every point; a fixed beta would be ignored.
+        # The sweeps are refused by the library's sweep, compare by the command
         path = tmp_path / "run.cfg"
         path.write_text("beta = 3e6\n")
         for args in (["--beta", "3e6"], ["--config", str(path)]):
             code, out, err = run([command, *FAST, *args], capsys)
             assert code == 1
-            assert f"{command} sets beta from chi at every point" in err
+            assert err == (f"ouphase: error: {who} sets beta from chi at every point: "
+                           "beta must be 'auto', got 3000000.0\n")
             assert out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    @pytest.mark.parametrize("grid", [["--duration", "1e12", "--dt", "1e-8"],
+                                      ["--duration", "9e10", "--dt", "1e-8"],
+                                      ["--duration", "1e10", "--dt", "1e-300"],
+                                      ["--duration", "1", "--dt", "5e-324"],
+                                      ["--duration", "1e30"]],
+                             ids=["1e20-steps", "9e18-steps", "inf-steps", "denormal-dt", "5e37-steps"])
+    def test_grid_too_long_is_one(self, command, grid, capsys):
+        # more steps than one float64 array can hold: refused before any array exists
+        code, out, err = run([command, *grid], capsys)
+        assert code == 1
+        assert err.startswith("ouphase: error: grid too long: duration/dt = ")
+        assert err.count("\n") == 1
+        assert out == ""
 
     def test_memory_error_is_three(self, capsys):
         # 1e15 samples (7 PiB per array): refused at once, nothing is allocated

@@ -35,6 +35,7 @@ from ouphase import (
     wiener_increments,
 )
 from ouphase.analytics import analytic_mse
+from ouphase.detection import feedback_estimate
 from ouphase.estimators import retained_window
 from ouphase.experiment import default_edge_discard
 
@@ -51,8 +52,7 @@ def reference_series(config, trial_index):
                            for role in Role)
     phi = simulate_ou(config.params, config.grid, phase)
     if config.scheme == "adaptive":
-        fb = FeedbackParams(config.resolved_beta(), config.omega0)
-        traj = run_adaptive_loop(phi, config.params, fb, config.grid, meas1)
+        traj = run_adaptive_loop(phi, config.params, config.loop, config.grid, meas1)
         series = traj.phihat if config.estimator.source == "phihat" else traj.theta
     elif config.dual_mode == "arg":
         series = run_dual_homodyne(phi, config.params, config.grid, (meas1, meas2))
@@ -67,7 +67,7 @@ def reference_trial(config, trial_index):
     """The three MSEs of ``reference_series``."""
     phi, series = reference_series(config, trial_index)
     forward, backward = apply_estimators(series, config.estimator, config.grid)
-    i0, i1 = retained_window(config.grid, config.resolved_edge_discard())
+    i0, i1 = retained_window(config.grid, config.edge_discard)
     # series -> MSEs by the moment rule: errors in place over the window (the
     # backward one a reversed view), smoothed from the forward/backward moments
     f, b = forward[i0:i1], backward[i0:i1]
@@ -113,12 +113,16 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             make_config(scheme="dual_homodyne", beta="auto", estimator=est)
 
-    def test_adaptive_requires_beta(self):
-        with pytest.raises(ParameterError):
-            make_config(beta=None)
+    def test_unset_beta_is_auto_for_adaptive_and_no_loop_for_dual(self):
+        for chi in (CHI_OP, 2e5):
+            assert make_config(chi=chi).loop == make_config(chi=chi, beta="auto").loop
+            assert make_config(chi=chi, beta=None).loop.beta == optimal_beta(chi, AP["flux"])
+        dual = ExperimentConfig(ProcessParams(**AP), SimGrid(dt=2e-8, duration=1e-3),
+                                EstimatorParams(CHI_OP, CHI_OP), scheme="dual_homodyne")
+        assert dual.beta is None and dual.loop is None
 
     def test_dual_scheme_rejects_numeric_beta(self):
-        # the dual scheme runs no feedback loop: only beta=None is accepted
+        # the dual scheme runs no feedback loop: beta must be left unset
         for beta in (1e6, 0.5, -1.0, float("nan")):
             with pytest.raises(ParameterError, match="adaptive scheme only"):
                 make_config(scheme="dual_homodyne", beta=beta)
@@ -127,7 +131,7 @@ class TestConfigValidation:
         # arg mode is a dual-homodyne detector model; the adaptive scheme has none
         with pytest.raises(ParameterError, match="dual_homodyne scheme only"):
             make_config(dual_mode="arg")
-        assert make_config(scheme="dual_homodyne", beta=None, dual_mode="arg").dual_mode == "arg"
+        assert make_config(scheme="dual_homodyne", dual_mode="arg").dual_mode == "arg"
 
     def test_coarse_grid_rejected_at_construction(self):
         # chi*dt >= 0.5 for either rate fails when the config is built, not in a trial
@@ -138,15 +142,19 @@ class TestConfigValidation:
     def test_phihat_source_requires_adaptive(self):
         est = EstimatorParams(CHI_OP, CHI_OP, source="phihat")
         with pytest.raises(ParameterError):
-            make_config(scheme="dual_homodyne", beta=None, estimator=est)
+            make_config(scheme="dual_homodyne", estimator=est)
 
     def test_resolved_beta_auto_uses_larger_rate(self):
         cfg = make_config(estimator=EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7))
-        assert cfg.resolved_beta() == optimal_beta(4e5, cfg.params.flux)
+        assert cfg.loop.beta == optimal_beta(4e5, cfg.params.flux)
 
     def test_unstable_resolved_beta_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_config(dt=5e-7, beta=1.2e6)  # beta*dt = 0.6
+        # one check, one message: when a config is built and when the loop filters
+        unstable = "feedback loop unstable: beta\\*dt = 0.6 >= 0.5"
+        with pytest.raises(ConfigurationError, match=unstable):
+            make_config(dt=5e-7, beta=1.2e6)
+        with pytest.raises(ConfigurationError, match=unstable):
+            feedback_estimate(np.zeros(4), FeedbackParams(1.2e6), 5e-7)
 
     def test_trials_and_seed_validation(self):
         with pytest.raises(ParameterError):
@@ -168,12 +176,12 @@ class TestConfigValidation:
         for omega0 in (-5.0, beta, 1e9):
             with pytest.raises(ParameterError, match="0 <= omega0 < beta"):
                 make_config(omega0=omega0)
-        assert make_config(omega0=0.0).feedback() == FeedbackParams(beta, 0.0)
+        assert make_config(omega0=0.0).loop == FeedbackParams(beta, 0.0)
         # the dual scheme runs no loop, but its omega0 is still checked
-        assert make_config(scheme="dual_homodyne", beta=None).feedback() is None
+        assert make_config(scheme="dual_homodyne").loop is None
         for omega0 in (-5.0, float("nan")):
             with pytest.raises(ParameterError, match="omega0 must be finite and >= 0"):
-                make_config(scheme="dual_homodyne", beta=None, omega0=omega0)
+                make_config(scheme="dual_homodyne", omega0=omega0)
 
     def test_derived_values_are_not_fields_and_follow_replace(self):
         # the loop, edge discard, N' and window are derived when a config is
@@ -182,27 +190,30 @@ class TestConfigValidation:
         assert [f.name for f in fields(cfg) if f.init] == [
             "params", "grid", "estimator", "scheme", "beta", "omega0", "trials",
             "master_seed", "noise_scale", "dual_mode"]
-        assert "_loop" not in repr(cfg)
+        assert (cfg.n_eff, cfg.window) == (AP["flux"], retained_window(cfg.grid, cfg.edge_discard))
+        for name in ("loop", "n_eff", "window"):
+            assert f"{name}=" not in repr(cfg)
+        with pytest.raises(AttributeError):
+            cfg.loop = None
         moved = replace(cfg, estimator=EstimatorParams(2e5, 2e5))
-        assert moved.resolved_beta() == optimal_beta(2e5, cfg.params.flux)
+        assert moved.loop.beta == optimal_beta(2e5, cfg.params.flux)
         back = replace(moved, estimator=cfg.estimator)
         assert back == cfg and hash(back) == hash(cfg)
-        assert back.feedback() == cfg.feedback()
+        assert (back.loop, back.edge_discard) == (cfg.loop, cfg.edge_discard)
 
 
 class TestEdgePolicy:
     def test_default_includes_reversion_term_when_it_fits(self):
         cfg = make_config(duration=1e-2)
         lam = cfg.params.lam
-        assert cfg.resolved_edge_discard() == pytest.approx(3.0 / lam, rel=1e-12)
+        assert cfg.edge_discard == pytest.approx(3.0 / lam, rel=1e-12)
 
     def test_reversion_term_dropped_for_short_coherence(self):
         # lam*span ~ 1: the 3/lam window does not fit and is dropped
         params = ProcessParams(kappa=1.6e4, lam=1e2, flux=1.35e6)
         cfg = make_config(params=params, duration=1e-2)
-        beta = cfg.resolved_beta()
-        expected = max(5.0 / CHI_OP, 5.0 / beta)
-        assert cfg.resolved_edge_discard() == pytest.approx(expected, rel=1e-12)
+        expected = max(5.0 / CHI_OP, 5.0 / cfg.loop.beta)
+        assert cfg.edge_discard == pytest.approx(expected, rel=1e-12)
 
     def test_explicit_edge_below_filter_settling_rejected(self):
         est = EstimatorParams(CHI_OP, CHI_OP, edge_discard=1.0 / CHI_OP)
@@ -218,8 +229,7 @@ class TestEdgePolicy:
         # 2*edge fits in the span, but rounding to the grid leaves one sample
         est = EstimatorParams(1e5, 1e5, edge_discard=5e-5)
         with pytest.raises(ParameterError, match="retained window is empty"):
-            make_config(dt=1e-6, duration=1.014e-4, estimator=est, scheme="dual_homodyne",
-                        beta=None)
+            make_config(dt=1e-6, duration=1.014e-4, estimator=est, scheme="dual_homodyne")
 
     def test_policy_function(self):
         assert default_edge_discard(1e5, None, 0.0, 1.0) == pytest.approx(5e-5)
@@ -245,15 +255,15 @@ class TestRunTrial:
         assert result.backward_mse == 0.0
 
     def test_dual_scheme_runs(self):
-        cfg = make_config(scheme="dual_homodyne", beta=None)
+        cfg = make_config(scheme="dual_homodyne")
         result = run_trial(cfg, 0)
         assert result.filtered_mse > 0
 
     @pytest.mark.parametrize("kwargs, exact", [
         (dict(), False),
         (dict(estimator=EstimatorParams(CHI_OP, CHI_OP, source="phihat")), True),
-        (dict(scheme="dual_homodyne", beta=None), True),
-        (dict(scheme="dual_homodyne", beta=None, dual_mode="arg"), True),
+        (dict(scheme="dual_homodyne"), True),
+        (dict(scheme="dual_homodyne", dual_mode="arg"), True),
     ], ids=["adaptive-theta", "adaptive-phihat", "dual-linearized", "dual-arg"])
     def test_matches_detector_reference(self, kwargs, exact):
         # linearized theta from the identity equals the loop's theta to rounding;
@@ -273,7 +283,7 @@ class TestRunTrial:
         # unequal rates and weights: the moment form against the smoothed series itself
         est = EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7)
         cfg = make_config(seed=5, estimator=est, scheme=scheme, beta=beta)
-        i0, i1 = retained_window(cfg.grid, cfg.resolved_edge_discard())
+        i0, i1 = retained_window(cfg.grid, cfg.edge_discard)
         for trial in (0, 7):
             phi, series = reference_series(cfg, trial)
             forward, backward = apply_estimators(series, est, cfg.grid)
@@ -297,7 +307,7 @@ class TestRunTrial:
     def test_calls_no_analytics(self, monkeypatch):
         # everything a trial needs was resolved when its config was built
         configs = [make_config(), make_config(estimator=PHIHAT),
-                   make_config(scheme="dual_homodyne", beta=None, dual_mode="arg")]
+                   make_config(scheme="dual_homodyne", dual_mode="arg")]
 
         def fail(*args, **kwargs):
             raise AssertionError("a trial called an analytics function")
@@ -402,7 +412,8 @@ class TestSweep:
     def test_numeric_beta_rejected(self):
         # the sweep sets beta from chi at every point: a fixed one would be dropped
         for axis, values in (("chi", [2e5, 3e5]), ("flux", [1.35e6, 2.7e6])):
-            with pytest.raises(ParameterError, match="beta must be 'auto', got 1500000.0"):
+            with pytest.raises(ParameterError, match=f"a {axis} sweep sets beta from chi at every "
+                                                     "point: beta must be 'auto', got 1500000.0"):
                 sweep(make_config(duration=5e-4, beta=1.5e6), axis, values)
 
     def test_flux_without_interior_optimum_rejected(self):
@@ -417,7 +428,7 @@ class TestSweep:
         assert len(reports) == 2
         for rep, chi in zip(reports, values):
             assert rep.condition("filtered").chi == chi
-            assert rep.config.resolved_beta() == optimal_beta(chi, cfg.params.flux)
+            assert rep.config.loop.beta == optimal_beta(chi, cfg.params.flux)
             assert rep.condition("filtered").analytic_mse == filtered_mse(cfg.params, chi)
 
     def test_chi_sweep_smoothing_never_loses(self):
@@ -449,13 +460,11 @@ def with_chi(config, *chis):
 
 def flux_sweep_configs(scheme):
     """The configs of a two-point flux sweep: each flux at both optimal rates."""
-    beta = "auto" if scheme == "adaptive" else None
     configs = []
     for flux in (1.35e6, 2.7e6):
         params = ProcessParams(**{**AP, "flux": flux})
         chis = [optimal_chi(params, mode, scheme).chi_star for mode in ("filtered", "smoothed")]
-        configs += with_chi(make_config(duration=5e-4, params=params, scheme=scheme, beta=beta),
-                            *chis)
+        configs += with_chi(make_config(duration=5e-4, params=params, scheme=scheme), *chis)
     return configs
 
 
@@ -464,8 +473,7 @@ def compare_configs(dual_mode):
     chi_ap = 2 * math.sqrt(AP["kappa"] * AP["flux"])
     chi_dh = 2 * math.sqrt(AP["kappa"] * AP["flux"] / 2)
     return [make_config(duration=5e-4, chi=chi_ap),
-            make_config(duration=5e-4, chi=chi_dh, scheme="dual_homodyne", beta=None,
-                        dual_mode=dual_mode)]
+            make_config(duration=5e-4, chi=chi_dh, scheme="dual_homodyne", dual_mode=dual_mode)]
 
 
 def count_draws(monkeypatch):
@@ -511,7 +519,7 @@ class TestRunEnsembles:
     def test_trials_equal_run_trial_across_changes_of_input(self):
         # theta reused, rebuilt for a new N', and interrupted by per-config inputs
         base = make_config(seed=5)
-        dual = dict(scheme="dual_homodyne", beta=None)
+        dual = dict(scheme="dual_homodyne")
         configs = [*with_chi(base, 2e5, 3e5), replace(base, estimator=PHIHAT),
                    make_config(seed=5, chi=2e5, **dual), make_config(seed=5, dual_mode="arg", **dual),
                    make_config(seed=5, chi=2.5e5, dual_mode="arg", **dual),
@@ -543,8 +551,8 @@ class TestRunEnsembles:
         (lambda: sweep(make_config(duration=5e-4), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30, 0)),
         (lambda: sweep(make_config(duration=5e-4, estimator=PHIHAT), "chi",
                        [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30, 0)),
-        (lambda: sweep(make_config(duration=5e-4, scheme="dual_homodyne", beta=None,
-                                   dual_mode="arg"), "chi", [1e5, 2e5, 3e5, 4e5, 5e5]),
+        (lambda: sweep(make_config(duration=5e-4, scheme="dual_homodyne", dual_mode="arg"),
+                       "chi", [1e5, 2e5, 3e5, 4e5, 5e5]),
          (30, 0, 30)),
         (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60, 0)),
         (lambda: run_ensembles(compare_configs("linearized")), (30, 60, 0)),
@@ -587,8 +595,7 @@ class TestCompareSchemes:
         rep_ap = run_ensemble(make_config(duration=1e-3, trials=40, chi=chi_ap, seed=3341),
                               workers=WORKERS)
         rep_dh = run_ensemble(
-            make_config(duration=1e-3, trials=40, chi=chi_dh, seed=3341,
-                        scheme="dual_homodyne", beta=None),
+            make_config(duration=1e-3, trials=40, chi=chi_dh, seed=3341, scheme="dual_homodyne"),
             workers=WORKERS)
         gains = compare_schemes(rep_ap, rep_dh)
         assert gains.smoothing_gain == pytest.approx(

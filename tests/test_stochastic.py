@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 from scipy.stats import chi2
 
 from ouphase import (
@@ -114,6 +116,20 @@ class TestSimGrid:
         with pytest.raises(ParameterError):
             SimGrid(dt=1e-3, duration=1.0, warmup=1.0)
 
+    @pytest.mark.parametrize("dt, duration", [
+        (1e-8, 1e12), (1e-8, 9e10),  # too many steps for one float64 array
+        (1e-300, 1e10), (5e-324, 1.0),  # duration/dt overflows to inf
+    ])
+    def test_too_long_rejected(self, dt, duration):
+        with pytest.raises(ParameterError, match="grid too long"):
+            SimGrid(dt=dt, duration=duration)
+
+    def test_longest_addressable_array_is_the_limit(self):
+        # sys.maxsize // 8 = 2**60 - 1 float64 samples; 2**60 - 128 is the float below 2**60
+        assert SimGrid(dt=1.0, duration=2.0**60 - 128).n_steps == sys.maxsize // 8 - 127
+        with pytest.raises(ParameterError, match="grid too long"):
+            SimGrid(dt=1.0, duration=2.0**60)
+
     def test_steps_and_times(self):
         g = SimGrid(dt=1e-3, duration=1e-2)
         assert g.n_steps == 10
@@ -134,6 +150,24 @@ class TestSimulateOu:
         for k in range(1, g.n_steps):
             ref[k] = decay * ref[k - 1] + sd * z[k]
         assert np.allclose(phi, ref, rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("lam, init", [(6.1451e4, "stationary"), (0.0, 0.3)])
+    @pytest.mark.parametrize("dt", [2e-8, 5e-9, 1e-7])
+    def test_bit_identical_to_scale_then_filter(self, lam, init, dt):
+        # the step sd rides in the filter gain and phi[0] in its state: the
+        # same arithmetic as scaling the draws first and filtering with gain 1
+        params = ProcessParams(kappa=1.5868e4, lam=lam, flux=1e6)
+        g = SimGrid(dt=dt, duration=1e-4)
+        s = stream(seed=13)
+        decay = math.exp(-lam * dt)
+        sd = (math.sqrt(params.kappa * dt) if lam == 0 else
+              math.sqrt(params.kappa * (1 - math.exp(-2 * lam * dt)) / (2 * lam)))
+        x = s.normals(g.n_steps)
+        x0 = math.sqrt(params.stationary_variance) * x[0] if lam > 0 else init
+        x *= sd
+        x[0] = x0
+        assert np.array_equal(simulate_ou(params, g, s, init=init),
+                              lfilter([1.0], [1.0, -decay], x))
 
     def test_noise_free_decay(self):
         params = ProcessParams(kappa=1e-12, lam=6.1451e4, flux=1e6)
