@@ -156,9 +156,10 @@ def _build_config(values: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str, cli_overrides: dict | None = None) -> ExperimentConfig:
-    """Config from a flat key=value file, with optional command-line overrides."""
-    return _build_config(_merge_values(_read_config_file(path), cli_overrides))
+def load_config(path: str | None = None, cli_overrides: dict | None = None) -> ExperimentConfig:
+    """Config from the defaults, a flat key=value file if ``path`` is given, and
+    command-line overrides, each layer over the one before."""
+    return _build_config(_merge_values(_read_config_file(path) if path else None, cli_overrides))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +243,18 @@ def emit_results(reports, fmt: str, destination: str, manifest: dict | None = No
         for row in manifest["results"]:
             for k, v in row.items():
                 _cell(k, v)  # finiteness guard only; JSON keeps full precision
-        text = json.dumps(manifest, indent=2) + "\n"
+        text = _json_text(manifest)
     else:
         raise ParameterError(f"unknown output format: {fmt!r}")
+    _write(destination, text)
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _write(destination: str, text: str):
+    """The writer of every --out file: UTF-8 text with LF line ends."""
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -265,34 +275,42 @@ def _print_conditions(reports):
 
 
 def _analytic_values(config: ExperimentConfig) -> dict:
-    """The theory table of ``config``; its MSEs are those ``simulate`` reports."""
+    """The theory table of ``config``; its MSEs are those ``simulate`` reports.
+
+    Each row is computed when its turn comes, so that ParameterError can name
+    the first one that overflows or is not finite at these parameters.
+    """
     params, scheme, chi = config.params, config.scheme, config.estimator.chi_minus
-    opt_f = analytics.optimal_chi(params, "filtered", scheme)
-    opt_s = analytics.optimal_chi(params, "smoothed", scheme)
     chi_lim = analytics.limit_chi(params, scheme)
-    ratios = analytics.improvement_ratios(params)  # adaptive against dual: scheme-free
-    table = {
-        "scheme": scheme,
-        "chi": chi,
-        "filtered_mse": analytics.analytic_mse(config, "filtered"),
-        "backward_mse": analytics.analytic_mse(config, "backward"),
-        "smoothed_mse": analytics.analytic_mse(config, "smoothed"),
-        "fb_correlation": analytics.forward_backward_correlation(params, chi, chi),
-        "sql_mse": analytics.sql_mse(params),
-        "xi": analytics.xi(params),
-        "optimal_beta": analytics.optimal_beta(chi, params.flux),
-        "chi_star_filtered": opt_f.chi_star,
-        "mse_star_filtered": opt_f.mse_star,
-        "chi_star_smoothed": opt_s.chi_star,
-        "mse_star_smoothed": opt_s.mse_star,
-        "smoothing_gain": analytics.filtered_mse(params, chi_lim, scheme)
+    rows = {
+        "filtered_mse": lambda: analytics.analytic_mse(config, "filtered"),
+        "backward_mse": lambda: analytics.analytic_mse(config, "backward"),
+        "smoothed_mse": lambda: analytics.analytic_mse(config, "smoothed"),
+        "fb_correlation": lambda: analytics.forward_backward_correlation(params, chi, chi),
+        "sql_mse": lambda: analytics.sql_mse(params),
+        "xi": lambda: analytics.xi(params),
+        "optimal_beta": lambda: analytics.optimal_beta(chi, params.flux),
+        "chi_star_filtered": lambda: analytics.optimal_chi(params, "filtered", scheme).chi_star,
+        "mse_star_filtered": lambda: analytics.optimal_chi(params, "filtered", scheme).mse_star,
+        "chi_star_smoothed": lambda: analytics.optimal_chi(params, "smoothed", scheme).chi_star,
+        "mse_star_smoothed": lambda: analytics.optimal_chi(params, "smoothed", scheme).mse_star,
+        "smoothing_gain": lambda: analytics.filtered_mse(params, chi_lim, scheme)
         / analytics.smoothed_mse(params, chi_lim, scheme),
-        "adaptive_gain": ratios.adaptive_gain,
-        "total_gain_limit": ratios.total_gain_limit,
-        "total_gain_exact": ratios.total_gain_exact,
+        # adaptive against dual: scheme-free
+        "adaptive_gain": lambda: analytics.improvement_ratios(params).adaptive_gain,
+        "total_gain_limit": lambda: analytics.improvement_ratios(params).total_gain_limit,
+        "total_gain_exact": lambda: analytics.improvement_ratios(params).total_gain_exact,
     }
     if scheme != "adaptive":
-        del table["optimal_beta"]  # the dual scheme runs no loop
+        del rows["optimal_beta"]  # the dual scheme runs no loop
+    table = {"scheme": scheme, "chi": chi}
+    for name, row in rows.items():
+        try:
+            table[name] = row()
+        except OverflowError:
+            table[name] = math.inf
+        if not math.isfinite(table[name]):
+            raise ParameterError(f"analytic row {name} is not finite at these parameters")
     return table
 
 
@@ -304,9 +322,7 @@ def _cmd_analytic(args) -> int:
         else:
             print(f"{name:<20} {value:.9g}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(table, fh, indent=2)
-            fh.write("\n")
+        _write(args.out, _json_text(table))
     return 0
 
 
@@ -391,10 +407,8 @@ def _add_config_flags(parser, runs: bool):
 
 def _config_from_args(args) -> ExperimentConfig:
     """The run's ExperimentConfig: command line over config file over defaults."""
-    file_values = _read_config_file(args.config) if args.config else None
-    cli_values = {key: _parse_value(key, getattr(args, key))
-                  for key in _KEYS if getattr(args, key) is not None}
-    return _build_config(_merge_values(file_values, cli_values))
+    return load_config(args.config, {key: _parse_value(key, getattr(args, key))
+                                     for key in _KEYS if getattr(args, key) is not None})
 
 
 def build_parser() -> _Parser:

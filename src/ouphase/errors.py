@@ -7,6 +7,8 @@ with 1, statistics problems (run too short, too few trials) with 2.
 import math
 import numbers
 
+__all__ = ["ParameterError", "ConfigurationError", "StatisticsError"]
+
 
 class ParameterError(ValueError):
     """An argument or field violates its documented contract."""

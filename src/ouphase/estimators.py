@@ -3,7 +3,9 @@
 The estimators are exponential-kernel weighted averages of an instantaneous
 estimate series. The causal branch uses only past samples (filtering), the
 anticausal branch only future samples (retrodiction), and their affine
-combination is the time-symmetric (smoothed) estimate.
+combination w_minus*forward + w_plus*backward is the time-symmetric
+(smoothed) estimate. No function here builds that series: a trial takes its
+MSE from the window moments of the forward and backward errors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ __all__ = [
     "MseStats",
     "causal_exponential_average",
     "anticausal_exponential_average",
-    "combine_smoothed",
     "apply_estimators",
     "empirical_mse",
 ]
@@ -111,18 +112,9 @@ def anticausal_exponential_average(series, chi: float, dt: float) -> np.ndarray:
     return causal_exponential_average(x[::-1], chi, dt)[::-1]
 
 
-def combine_smoothed(forward, backward, params: EstimatorParams) -> np.ndarray:
-    """Pointwise affine combination w_minus*forward + w_plus*backward."""
-    f = np.asarray(forward, dtype=float)
-    b = np.asarray(backward, dtype=float)
-    if f.shape != b.shape:
-        raise ParameterError("forward and backward series must have equal length")
-    return params.w_minus * f + params.w_plus * b
-
-
 def apply_estimators(series, params: EstimatorParams, grid: SimGrid) -> tuple[np.ndarray, np.ndarray]:
     """The (forward, backward) averages of one input series, at rates chi_minus
-    and chi_plus; ``combine_smoothed`` forms the smoothed estimate from them."""
+    and chi_plus. The smoothed estimate is w_minus*forward + w_plus*backward."""
     return (causal_exponential_average(series, params.chi_minus, grid.dt),
             anticausal_exponential_average(series, params.chi_plus, grid.dt))
 

@@ -126,9 +126,6 @@ class SimGrid:
     def n_steps(self) -> int:
         return int(round(self.duration / self.dt))
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps) * self.dt
-
 
 def wiener_increments(stream: NoiseStream, n: int, dt: float) -> np.ndarray:
     """``n`` independent Gaussian increments of mean 0 and variance ``dt``.

@@ -220,12 +220,33 @@ class TestSweepCommands:
         assert f"{0.8 * chi_lim:12.6g}".strip() in out
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["sweep-chi", "--values", "0.8,1.2", "--relative"]],
+                         ids=["simulate", "sweep-chi"])
+def test_rates_over_four_and_times_four_give_the_same_results(argv, tmp_path, capsys):
+    # exact scale covariance: each rate / 4 and each time * 4 is exact in binary,
+    # so every result field is the same float, and chi and flux are the old / 4
+    def results(c):
+        rates = {key: DEFAULTS[key] / c for key in ("kappa", "lambda", "flux", "chi", "omega0")}
+        times = {"dt": DEFAULTS["dt"] * c, "duration": 5e-4 * c}
+        flags = [arg for key, value in {**rates, **times}.items() for arg in (f"--{key}", repr(value))]
+        dest = tmp_path / f"{c}.json"
+        code, _, _ = run([*argv, *flags, "--trials", "30", "--seed", "7", "--format", "json",
+                          "--out", str(dest)], capsys)
+        assert code == 0
+        return json.loads(dest.read_text())["results"]
+
+    rows = results(1)
+    assert rows
+    assert results(4) == [{**row, "chi": row["chi"] / 4, "flux": row["flux"] / 4} for row in rows]
+
+
 class TestConfigFile:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("")
         config = load_config(str(path))
         assert config == _build_config(_merge_values(None, None))
+        assert load_config() == config
         assert config.params.kappa == DEFAULTS["kappa"]
         assert config.trials == DEFAULTS["trials"]
 
@@ -443,6 +464,19 @@ class TestExitCodes:
         assert err.startswith("ouphase: error: grid too long: duration/dt = ")
         assert err.count("\n") == 1
         assert out == ""
+
+    @pytest.mark.parametrize("args, row", [
+        (["--lambda", "1e200"], "smoothing_gain"),  # (chi + lam)**2 overflows
+        (["--kappa", "1e300"], "mse_star_smoothed"),  # the optimum's MSE is inf
+    ], ids=["overflow", "inf"])
+    def test_non_finite_analytic_row_is_one(self, args, row, tmp_path, capsys):
+        # refused before a row is printed or a non-JSON "Infinity" is written
+        dest = tmp_path / "analytic.json"
+        code, out, err = run(["analytic", *args, "--out", str(dest)], capsys)
+        assert code == 1
+        assert err == f"ouphase: error: analytic row {row} is not finite at these parameters\n"
+        assert out == ""
+        assert not dest.exists()
 
     def test_memory_error_is_three(self, capsys):
         # 1e15 samples (7 PiB per array): refused at once, nothing is allocated

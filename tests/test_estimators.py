@@ -15,7 +15,6 @@ from ouphase import (
     anticausal_exponential_average,
     apply_estimators,
     causal_exponential_average,
-    combine_smoothed,
     empirical_mse,
     run_adaptive_loop,
     simulate_ou,
@@ -103,32 +102,19 @@ class TestAnticausalAverage:
 
 
 class TestCombine:
-    def test_degenerate_weights_recover_forward(self):
-        f, b = rng(1).normal(size=100), rng(2).normal(size=100)
-        params = EstimatorParams(1e3, 1e3, w_minus=1.0, w_plus=0.0)
-        assert np.array_equal(combine_smoothed(f, b, params), f)
-
     def test_ramp_lag_cancellation(self):
         chi, dt = 1e3, 5e-7
         t = np.arange(24_000) * dt
         f = causal_exponential_average(t, chi, dt)
         b = anticausal_exponential_average(t, chi, dt)
-        s = combine_smoothed(f, b, EstimatorParams(chi, chi))
+        s = 0.5 * f + 0.5 * b
         interior = (t >= 10.0 / chi) & (t <= t[-1] - 10.0 / chi)
         assert np.allclose(s[interior], t[interior], rtol=1e-9, atol=1e-9 * t[-1])
-
-    def test_idempotent_on_identical_series(self):
-        s = rng(5).normal(size=300)
-        assert np.array_equal(combine_smoothed(s, s, EstimatorParams(1e3, 1e3)), s)
 
     def test_weight_sum_enforced(self):
         # checked once, when the frozen EstimatorParams is built
         with pytest.raises(ParameterError):
             EstimatorParams(1e3, 1e3, w_minus=0.6, w_plus=0.6)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            combine_smoothed(np.zeros(4), np.zeros(5), EstimatorParams(1e3, 1e3))
 
 
 class TestEstimatorParams:
@@ -156,15 +142,13 @@ class TestAffineInvariance:
 
 
 class TestApplyEstimators:
-    def test_smoothed_is_weighted_sum(self):
+    def test_forward_and_backward_at_their_own_rates(self):
         g = SimGrid(dt=1e-6, duration=4e-3)
         x = rng(9).normal(size=g.n_steps)
         params = EstimatorParams(2e3, 3e3, w_minus=0.3, w_plus=0.7)
         forward, backward = apply_estimators(x, params, g)
         assert np.array_equal(forward, causal_exponential_average(x, 2e3, g.dt))
         assert np.array_equal(backward, anticausal_exponential_average(x, 3e3, g.dt))
-        smoothed = combine_smoothed(forward, backward, params)
-        assert np.array_equal(smoothed, 0.3 * forward + 0.7 * backward)
 
 
 class TestEmpiricalMse:
@@ -226,7 +210,8 @@ class TestSourceChoice:
             params = EstimatorParams(CHI_OP, CHI_OP)
             mses = {}
             for name, series in (("theta", traj.theta), ("phihat", traj.phihat)):
-                smoothed = combine_smoothed(*apply_estimators(series, params, g), params)
+                forward, backward = apply_estimators(series, params, g)
+                smoothed = params.w_minus * forward + params.w_plus * backward
                 mses[name] = empirical_mse(smoothed, phi, g, edge).mse
             ratios.append(mses["phihat"] / mses["theta"])
         assert abs(np.mean(ratios) - 1.0) < 0.05

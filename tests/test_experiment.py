@@ -19,9 +19,9 @@ from ouphase import (
     SimGrid,
     StatisticsError,
     apply_estimators,
-    combine_smoothed,
     compare_schemes,
     filtered_mse,
+    improvement_ratios,
     optimal_beta,
     optimal_chi,
     run_adaptive_loop,
@@ -287,7 +287,7 @@ class TestRunTrial:
         for trial in (0, 7):
             phi, series = reference_series(cfg, trial)
             forward, backward = apply_estimators(series, est, cfg.grid)
-            smoothed = combine_smoothed(forward, backward, est)
+            smoothed = est.w_minus * forward + est.w_plus * backward
             direct = [float(np.mean((s[i0:i1] - phi[i0:i1]) ** 2))
                       for s in (forward, smoothed, backward)]
             got = run_trial(cfg, trial)
@@ -323,6 +323,53 @@ class TestRunTrial:
         cfg = make_config(params=params)
         result = run_trial(cfg, 0)
         assert math.isfinite(result.smoothed_mse)
+
+
+def rescaled(config, c):
+    """``config`` with every rate (kappa, lambda, N, chi, omega0, a numeric beta)
+    divided by c and every time (dt, duration, warmup, a numeric edge discard)
+    multiplied by c."""
+    p, g, e = config.params, config.grid, config.estimator
+    edge = None if e.edge_discard is None else e.edge_discard * c
+    beta = config.beta / c if isinstance(config.beta, float) else config.beta
+    return replace(config, params=ProcessParams(p.kappa / c, p.lam / c, p.flux / c),
+                   grid=SimGrid(g.dt * c, g.duration * c, g.warmup * c),
+                   estimator=replace(e, chi_minus=e.chi_minus / c, chi_plus=e.chi_plus / c,
+                                     edge_discard=edge),
+                   beta=beta, omega0=config.omega0 / c)
+
+
+class TestScaleCovariance:
+    # With c a power of 4 every factor is exact in binary floating point
+    # (rate*dt, sqrt(4x) = 2*sqrt(x), 5/chi), so a rescaled run must give the
+    # same bits. At c = 3 the roundings differ and every trial type moves.
+    @pytest.mark.parametrize("c", [4, 16, 0.25])
+    @pytest.mark.parametrize("est_kwargs, kwargs", [
+        (dict(), dict()),
+        (dict(source="phihat"), dict()),
+        (dict(), dict(scheme="dual_homodyne")),
+        (dict(), dict(scheme="dual_homodyne", dual_mode="arg")),
+        (dict(source="phihat", edge_discard=6e-5), dict(beta=3e6)),
+    ], ids=["theta", "phihat", "dual", "dual-arg", "phihat-numeric-beta-and-edge"])
+    def test_trial_and_theory_are_bit_identical(self, est_kwargs, kwargs, c):
+        est = EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7, **est_kwargs)
+        cfg = make_config(estimator=est, **kwargs)
+        scaled = rescaled(cfg, c)
+        assert scaled.window == cfg.window
+        for mode in ("filtered", "backward", "smoothed"):
+            assert analytic_mse(scaled, mode) == analytic_mse(cfg, mode), mode
+        for trial in (0, 7):
+            assert run_trial(scaled, trial) == run_trial(cfg, trial)
+
+    @pytest.mark.parametrize("c", [4, 16, 0.25])
+    def test_optima_scale_by_one_over_c(self, c):
+        params = ProcessParams(**AP)
+        scaled = ProcessParams(params.kappa / c, params.lam / c, params.flux / c)
+        assert improvement_ratios(scaled) == improvement_ratios(params)
+        for mode in ("filtered", "smoothed"):
+            for scheme in ("adaptive", "dual_homodyne"):
+                opt, opt_c = optimal_chi(params, mode, scheme), optimal_chi(scaled, mode, scheme)
+                assert (opt_c.chi_star, opt_c.mse_star) == (opt.chi_star / c, opt.mse_star)
 
 
 class TestRunEnsemble:
