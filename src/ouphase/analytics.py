@@ -91,9 +91,9 @@ def forward_backward_correlation(
     scheme independent and vanishes for pure diffusion."""
     chi_minus = check_real("chi_minus", chi_minus, above=0.0)
     chi_plus = check_real("chi_plus", chi_plus, above=0.0)
-    return params.kappa * params.lam / (
+    return _finite("forward-backward correlation", params.kappa * params.lam / (
         2.0 * (chi_minus + params.lam) * (chi_plus + params.lam)
-    )
+    ))
 
 
 def combined_mse(point: TheoryPoint) -> float:
@@ -215,6 +215,8 @@ def improvement_ratios(params: ProcessParams) -> ImprovementRatios:
     chi_lim = limit_chi(params, "adaptive")
     smoothing = filtered_mse(params, chi_lim) / smoothed_mse(params, chi_lim)
     limit_adaptive = math.sqrt(params.kappa / params.flux) / 2.0
+    if limit_adaptive == 0.0:  # kappa/N underflows: the SQL over it is 0/0
+        raise ParameterError("limit-form gains are not finite at these parameters")
     adaptive = sql_mse(params) / limit_adaptive  # the SQL is the limit-form dual optimum
     total_limit = sql_mse(params) / (math.sqrt(params.kappa / params.flux) / 4.0)
     exact_best = optimal_chi(params, "smoothed", "adaptive")

@@ -186,10 +186,12 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     smoothed error by at most |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
 
     The trial runs in blocks (``blocking``), so its memory does not grow
-    with its length. Each stream draws from one generator and each recursion
-    carries its state from block to block; only the backward averages of a
-    block that is not the last one see a finite lookahead. A trial of one
-    block runs every layer once over the whole grid.
+    with its length; a trial of one block is the case with no lookahead. Each
+    stream draws from one generator and each recursion carries its state from
+    block to block; only the backward averages of a block that is not the
+    last one see a finite lookahead. phi and the theta of the run at hand are
+    the rows of one array that lives for the trial, and each run keeps only
+    its theta over the lookahead for the next block.
     """
     configs = _check_shared(configs)
     c0 = configs[0]
@@ -199,66 +201,53 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r, c0.noise_scale) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
     phase_gen = phase.generator()
-    # one detector per consecutive run of configs with one theta key; group[k]
-    # numbers config k's run from 1
-    keys = [_THETA_KEY(c) for c in configs]
-    new_run = [k == 0 or keys[k] != keys[k - 1] for k in range(len(configs))]
-    detectors = [_detector(c, meas1, meas2) for c, new in zip(configs, new_run) if new]
-    group = list(itertools.accumulate(map(int, new_run)))
+    # the runs of consecutive configs with one theta key, as (index, config) pairs
+    runs = [list(run) for _, run in itertools.groupby(enumerate(configs),
+                                                      key=lambda pair: _THETA_KEY(pair[1]))]
+    detectors = [_detector(run[0][1], meas1, meas2) for run in runs]
     forward_start = [None] * len(configs)  # the forward average at the sample before the block
     loop_start = [0.0] * len(configs)      # phihat at the block's first sample
     moments = [_WindowMoments() for _ in configs]
 
-    # A trial of more blocks keeps phi (row 0) and each run's theta (row
-    # group[k]) over [s, end), a block and its lookahead, in the rows of one
-    # array that lives for the trial. Two rows more leave room for a block's
+    # phi (row 0) and the theta of the run at hand (row 1) over a block and its
+    # lookahead. A trial of more blocks has two rows more, room for a block's
     # forward and backward averages, so that glibc, whose trim threshold is
     # twice the largest chunk it has unmapped, keeps the trial's pages from
     # block to block and trial to trial.
-    held = np.empty((3 + len(detectors), block + lookahead)) if lookahead else None
-    end = 0
+    held = np.empty((4 if lookahead else 2, block + lookahead))
+    phi, theta = held[0], held[1]
+    theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
+    ahead = 0
     for s in range(0, n, block):
         e = min(s + block, n)
-        ahead = min(e + lookahead, n) - e
-        if held is not None:
-            for row in held:  # the last block's lookahead moves to the front
-                row[:end - s] = row[block:block + end - s]
-        if e + ahead > end:
-            phi = simulate_ou(params, grid, phase, init, phase_gen, e + ahead - end,
-                              None if s == 0 else float(held[0, end - s - 1]))
-            if held is not None:
-                new = slice(end - s, e + ahead - s)
-                held[0, new] = phi
-                del phi  # each array goes before the next is made, so the heap stays flat
-                for row, detector in zip(held[1:], detectors):
-                    row[new] = detector(held[0, new])
-            end = e + ahead
-        if held is not None:
-            phi = held[0, :end - s]
-        for k, config in enumerate(configs):
-            f = b = source = None  # the previous config's arrays go before this one's are built
-            if held is not None:
-                theta = held[group[k], :end - s]
-            elif new_run[k]:  # one block: theta over the whole grid
-                theta = None  # the previous run's theta goes before this one's is built
-                theta = detectors[group[k] - 1](phi)
-            source = theta
-            if config.estimator.source == "phihat":
-                source = feedback_estimate(theta, config.loop, dt, loop_start[k])
-                loop_start[k] = float(source[e - s]) if ahead else None
-            f, b = apply_estimators(source, config.estimator, grid, forward_start[k], ahead)
-            forward_start[k] = float(f[-1])
-            i0, i1 = config.window
-            lo, hi = max(i0, s) - s, min(i1, e) - s
-            if lo < hi:
-                f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    f -= truth
-                    b -= truth
-                    moments[k].add(f, b, last=hi == i1 - s)
-    # the forward errors go last: freed before phi, theta or the backward ones,
-    # they leave one more array per trial for the heap to fault in again
-    del phi, theta, source, b
+        drawn, ahead = ahead, min(e + lookahead, n) - e  # drawn: the last block's lookahead
+        size = e + ahead - s
+        phi[:drawn] = phi[block:block + drawn]  # moves to the front
+        new = slice(drawn, size)
+        if size > drawn:
+            phi[new] = simulate_ou(params, grid, phase, init, phase_gen, size - drawn,
+                                   None if s == 0 else float(phi[drawn - 1]))
+        for run, detector, kept in zip(runs, detectors, theta_ahead):
+            theta[:drawn] = kept[:drawn]
+            if size > drawn:
+                theta[new] = detector(phi[new])
+            kept[:ahead] = theta[e - s:size]
+            for k, config in run:
+                source = theta[:size]
+                if config.estimator.source == "phihat":
+                    source = feedback_estimate(source, config.loop, dt, loop_start[k])
+                    loop_start[k] = float(source[e - s]) if ahead else None
+                f, b = apply_estimators(source, config.estimator, grid, forward_start[k], ahead)
+                forward_start[k] = float(f[-1])
+                i0, i1 = config.window
+                lo, hi = max(i0, s) - s, min(i1, e) - s
+                if lo < hi:
+                    f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        f -= truth
+                        b -= truth
+                        moments[k].add(f, b, last=hi == i1 - s)
+                f = b = source = None  # freed before the next theta or config's arrays are built
 
     results = []
     for config, sums in zip(configs, moments):

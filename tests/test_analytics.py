@@ -341,6 +341,17 @@ class TestNonFiniteResults:
         with pytest.raises(ParameterError, match="smoothed MSE is not finite"):
             optimal_chi(params, "smoothed", scheme)
 
+    def test_infinite_over_infinite_correlation(self):
+        params = ProcessParams(kappa=1.5868e4, lam=1.7e308, flux=1.3499e6)
+        with pytest.raises(ParameterError, match="forward-backward correlation is not finite"):
+            forward_backward_correlation(params, 2.9e5, 2.9e5)
+
+    def test_gain_over_an_underflowed_limit(self):
+        # sqrt(kappa/N) underflows to 0: the SQL over the limit-form optimum is 0/0
+        params = ProcessParams(kappa=5e-324, lam=6.1451e4, flux=1.3499e6)
+        with pytest.raises(ParameterError, match="limit-form gains are not finite"):
+            improvement_ratios(params)
+
     def test_infinite_filtered_mse(self):
         params = ProcessParams(kappa=1e308, lam=1e-300, flux=1.3499e6)
         with pytest.raises(ParameterError, match="filtered MSE is not finite"):

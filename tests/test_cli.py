@@ -468,13 +468,26 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, row", [
         (["--lambda", "1e200"], "smoothing_gain"),  # (chi + lam)**2 overflows
         (["--kappa", "1e300"], "mse_star_smoothed"),  # the optimum's MSE is inf
-    ], ids=["overflow", "inf"])
+        (["--kappa", "5e-324"], "adaptive_gain"),  # sqrt(kappa/N) underflows to 0
+    ], ids=["overflow", "inf", "underflow"])
     def test_non_finite_analytic_row_is_one(self, args, row, tmp_path, capsys):
         # refused before a row is printed or a non-JSON "Infinity" is written
         dest = tmp_path / "analytic.json"
         code, out, err = run(["analytic", *args, "--out", str(dest)], capsys)
         assert code == 1
         assert err == f"ouphase: error: analytic row {row} is not finite at these parameters\n"
+        assert out == ""
+        assert not dest.exists()
+
+    def test_non_finite_expectation_is_one(self, tmp_path, capsys):
+        # kappa*lam and (chi + lam)**2 both overflow: the smoothed row's
+        # expectation would be inf/inf, printed as nan with a z of nan
+        dest = tmp_path / "run.csv"
+        code, out, err = run(["simulate", "--trials", "30", "--duration", "2e-4",
+                              "--lambda", "1.7e308", "--out", str(dest)], capsys)
+        assert code == 1
+        assert err == ("ouphase: error: forward-backward correlation is not finite "
+                       "at these parameters\n")
         assert out == ""
         assert not dest.exists()
 

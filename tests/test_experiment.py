@@ -434,6 +434,30 @@ class TestBlocks:
         growth = peak_bytes(lambda: run_trial(long, 0)) - peak_bytes(lambda: run_trial(short, 0))
         assert abs(growth) < 8 * block
 
+    @pytest.mark.parametrize("source", ["theta", "phihat"])
+    @pytest.mark.parametrize("extra", [1, 2500, 5000, 5001])
+    def test_last_block_inside_the_lookahead_matches_the_one_shot_reference(self, extra, source):
+        # up to L = 5000 samples past one block, the last block lies inside the
+        # first one's lookahead and draws nothing; at L + 1 it draws one sample
+        est = EstimatorParams(**self.UNEQUAL, source=source)
+        cfg = make_config(seed=5, duration=(2 ** 17 + extra) * 2e-8, estimator=est)
+        assert cfg.grid.n_steps == 2 ** 17 + extra
+        assert blocking([cfg]) == (2 ** 17, 5000)
+        for trial in (0, 7):
+            assert as_list(run_trial(cfg, trial)) == pytest.approx(
+                reference_trial(cfg, trial), rel=1e-15, abs=0)
+
+    def test_peak_memory_does_not_grow_with_flux_points(self):
+        # each run of configs with one N' keeps only its theta over the lookahead
+        base = make_config(duration=MULTI_BLOCK)
+        configs = [replace(base, params=replace(base.params, flux=flux))
+                   for flux in (1.35e6, 2.7e6, 5.4e6, 1.08e7)]
+        block, lookahead = blocking(configs)
+        assert lookahead and blocking(configs[:1]) == (block, lookahead)
+        growth = (peak_bytes(lambda: run_trials(configs, 0))
+                  - peak_bytes(lambda: run_trials(configs[:1], 0)))
+        assert growth < 8 * block
+
 
 class TestRunEnsemble:
     def test_too_few_trials(self):
