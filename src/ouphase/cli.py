@@ -205,7 +205,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "w_minus": e.w_minus,
         "w_plus": e.w_plus,
         "edge_discard": config.edge_discard,
-        "noise_scale": config.noise_scale,
         "dual_mode": config.dual_mode,
     }
 

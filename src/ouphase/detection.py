@@ -175,7 +175,7 @@ def run_dual_homodyne(
     else:
         phi = np.asarray(phi, dtype=float)
     s1, s2 = streams
-    if (s1.master_seed, s1.trial_index, s1.role) == (s2.master_seed, s2.trial_index, s2.role):
+    if s1 == s2:
         raise ParameterError("dual homodyne requires two independent measurement streams")
 
     n, dt = len(phi), grid.dt

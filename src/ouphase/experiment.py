@@ -57,10 +57,9 @@ class ExperimentConfig:
     ``beta`` left unset (None) gives the adaptive scheme the loop gain
     sqrt(8*chi*N) and the dual scheme, where no feedback runs, no loop; it
     may also be "auto" (that same gain) or a positive number, both for the
-    adaptive scheme only. ``noise_scale`` scales all noise streams and exists
-    for deterministic noise-free runs in tests; production runs leave it at 1.
-    ``omega0`` is >= 0, and below beta for the adaptive scheme. ``dual_mode``,
-    the dual detector's model, is "linearized" or (dual scheme only) "arg".
+    adaptive scheme only. ``omega0`` is >= 0, and below beta for the adaptive
+    scheme. ``dual_mode``, the dual detector's model, is "linearized" or (dual
+    scheme only) "arg".
 
     What every trial needs is derived when the config is built (``replace``
     derives it again) and kept in read-only attributes that are not init
@@ -78,7 +77,6 @@ class ExperimentConfig:
     omega0: float = 100.0
     trials: int = 200
     master_seed: int = 424242
-    noise_scale: float = 1.0
     dual_mode: str = "linearized"
     loop: FeedbackParams | None = field(init=False, repr=False, compare=False)
     edge_discard: float = field(init=False, repr=False, compare=False)
@@ -90,7 +88,6 @@ class ExperimentConfig:
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
         check_index("master_seed", self.master_seed, SEED_BITS)
-        check_real_fields(self, "noise_scale", at_least=0.0)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
         if self.scheme == "adaptive" and self.dual_mode != "linearized":
@@ -161,18 +158,17 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 def _check_shared(configs) -> list[ExperimentConfig]:
     """``configs`` as a list, if it is not empty and its configs can share trials."""
     configs = list(configs)
-    shared = {(c.params.kappa, c.params.lam, c.grid, c.trials, c.master_seed, c.noise_scale)
-              for c in configs}
+    shared = {(c.params.kappa, c.params.lam, c.grid, c.trials, c.master_seed) for c in configs}
     if len(shared) != 1:
         raise ParameterError("need one or more configs that agree in kappa, lambda, "
-                             "grid, trials, seed and noise_scale")
+                             "grid, trials and seed")
     return configs
 
 
 def run_trials(configs, trial_index: int) -> list[TrialResult]:
     """One trial index under configs that share its draws (they must agree in
-    kappa, lambda, grid, trials, seed and noise scale); result ``k`` is
-    configs[k]'s three MSE samples.
+    kappa, lambda, grid, trials and seed); result ``k`` is configs[k]'s three
+    MSE samples.
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. phi is drawn
@@ -198,7 +194,7 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     grid, params = c0.grid, c0.params
     n, dt = grid.n_steps, grid.dt
     block, lookahead = blocking(configs)
-    phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r, c0.noise_scale) for r in Role)
+    phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
     phase_gen = phase.generator()
     # the runs of consecutive configs with one theta key, as (index, config) pairs

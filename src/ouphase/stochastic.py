@@ -43,22 +43,16 @@ class Role(enum.IntEnum):
 
 @dataclass(frozen=True)
 class NoiseStream:
-    """Identity of one reproducible Gaussian noise stream.
-
-    ``scale`` multiplies every draw; ``scale=0.0`` yields a deterministic
-    zero stream, which is how noise-free runs are configured in tests.
-    """
+    """Identity of one reproducible standard-normal noise stream."""
 
     master_seed: int
     trial_index: int = 0
     role: Role = Role.PHASE_NOISE
-    scale: float = 1.0
 
     def __post_init__(self):
         check_index("master_seed", self.master_seed, SEED_BITS)
         check_index("trial_index", self.trial_index, TRIAL_BITS)
         object.__setattr__(self, "role", Role(self.role))
-        check_real_fields(self, "scale", at_least=0.0)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -69,7 +63,7 @@ class NoiseStream:
         return Generator(Philox(key=np.array(self.key, dtype=np.uint64)))
 
     def normals(self, n: int, generator: Generator | None = None) -> np.ndarray:
-        """First ``n`` standard-normal draws of the stream, times ``scale``.
+        """First ``n`` standard-normal draws of the stream.
 
         Passing ``generator``, one ``self.generator()`` kept across calls, gives
         the stream's next ``n`` draws instead: a stream drawn in consecutive
@@ -77,10 +71,7 @@ class NoiseStream:
         """
         if not isinstance(n, int) or n < 0:
             raise ParameterError("n must be a non-negative integer")
-        z = (self.generator() if generator is None else generator).standard_normal(n)
-        if self.scale != 1.0:
-            z *= self.scale
-        return z
+        return (self.generator() if generator is None else generator).standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -160,7 +151,9 @@ def simulate_ou(
         phi[k+1] = phi[k] * exp(-lam*dt) + sqrt(kappa*(1 - exp(-2*lam*dt))/(2*lam)) * z[k]
     so the sampled law has no discretization bias at any dt. For lam = 0 the
     same recursion runs with its limits, decay 1 and step sd sqrt(kappa*dt)
-    (pure diffusion), and only a fixed initial value is allowed.
+    (pure diffusion), and only a fixed initial value is allowed. A lam > 0 so
+    small that exp(-lam*dt) rounds to 1 is refused: its step variance would
+    round to 0 and phi would stay at its initial draw.
 
     ``init`` is either the string "stationary" (draw phi[0] from the
     stationary Gaussian of variance kappa/(2*lam)) or a number.
@@ -185,6 +178,9 @@ def simulate_ou(
 
     lam = params.lam
     decay = math.exp(-lam * dt)  # 1 for pure diffusion
+    if lam > 0 and decay == 1.0:
+        raise ParameterError(f"lambda*dt = {lam * dt:.3g} is too small for the grid to "
+                             "resolve: exp(-lambda*dt) rounds to 1")
     step_sd = (math.sqrt(params.kappa * dt) if lam == 0 else
                math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam)))
     x = stream.normals(n, generator)

@@ -1,8 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
-from ouphase import ProcessParams
+from ouphase import NoiseStream, ProcessParams
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -15,6 +16,20 @@ def ap_params():
 @pytest.fixture(scope="session")
 def dh_params():
     return ProcessParams(kappa=1.6218e4, lam=6.4593e4, flux=1.3235e6)
+
+
+class SilentStream(NoiseStream):
+    """A noise stream whose every draw is 0: noise-free runs for tests."""
+
+    def normals(self, n, generator=None):
+        super().normals(n, generator)  # the argument check of a real stream
+        return np.zeros(n)
+
+
+@pytest.fixture
+def silent_trials(monkeypatch):
+    """Makes every trial of ``ouphase.experiment`` draw from silent streams."""
+    monkeypatch.setattr("ouphase.experiment.NoiseStream", SilentStream)
 
 
 @pytest.fixture

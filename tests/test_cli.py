@@ -145,6 +145,10 @@ class TestSimulate:
         assert payload["timestamp"] is None
         assert payload["master_seed"] == 7
         cfg = payload["config"]
+        # the manifest's format changes only on purpose
+        assert list(cfg) == ["kappa", "lambda", "flux", "chi", "chi_plus", "beta", "omega0", "dt",
+                             "duration", "warmup", "trials", "seed", "scheme", "source",
+                             "w_minus", "w_plus", "edge_discard", "dual_mode"]
         assert cfg["kappa"] == DEFAULTS["kappa"]
         assert cfg["beta"] == pytest.approx(1777941.795672738, rel=1e-12)
         assert len(payload["results"]) == 2
@@ -490,6 +494,16 @@ class TestExitCodes:
                        "at these parameters\n")
         assert out == ""
         assert not dest.exists()
+
+    @pytest.mark.parametrize("lam, workers", [("1e-30", "1"), ("1e-30", "2"), ("1e-300", "1"),
+                                              ("2.2e-308", "1"), ("5e-324", "1")])
+    def test_reversion_the_grid_cannot_resolve_is_one(self, lam, workers, capsys):
+        # exp(-lambda*dt) rounds to 1: phi would not move from its initial draw
+        code, out, err = run(["simulate", "--trials", "30", "--duration", "2e-4", "--seed", "7",
+                              "--lambda", lam, "--workers", workers], capsys)
+        assert code == 1
+        assert err.startswith("ouphase: error: lambda*dt = ") and err.count("\n") == 1
+        assert out == ""
 
     def test_memory_error_is_three(self, monkeypatch, capsys):
         # a trial's memory is set by its block length, not its duration, so no

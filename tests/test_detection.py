@@ -20,13 +20,14 @@ from ouphase import (
     wiener_increments,
 )
 
+from conftest import SilentStream
 from oracles import CHI_OP
 
 BETA_OP = 1777941.795672738  # sqrt(8 * CHI_OP * 1.3499e6)
 
 
 def silent(role=Role.MEASUREMENT_NOISE):
-    return NoiseStream(master_seed=1, role=role, scale=0.0)
+    return SilentStream(master_seed=1, role=role)
 
 
 def noisy(role=Role.MEASUREMENT_NOISE, trial=0, seed=13):

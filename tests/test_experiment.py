@@ -48,8 +48,7 @@ def reference_series(config, trial_index):
     models: the feedback loop for the adaptive scheme, both dual-homodyne arms
     for the dual arg mode, and the explicit small-angle formula at N/2 for
     the dual linearized mode."""
-    phase, meas1, meas2 = (NoiseStream(config.master_seed, trial_index, role, config.noise_scale)
-                           for role in Role)
+    phase, meas1, meas2 = (NoiseStream(config.master_seed, trial_index, role) for role in Role)
     phi = simulate_ou(config.params, config.grid, phase)
     if config.scheme == "adaptive":
         traj = run_adaptive_loop(phi, config.params, config.loop, config.grid, meas1)
@@ -164,8 +163,6 @@ class TestConfigValidation:
             make_config(trials=0)
         with pytest.raises(ParameterError):
             make_config(seed=-1)
-        with pytest.raises(ParameterError):
-            make_config(noise_scale=-1.0)
 
     def test_bool_trials_rejected(self):
         # a bool is an int; the manifest would echo "trials": true
@@ -192,7 +189,7 @@ class TestConfigValidation:
         cfg = make_config()
         assert [f.name for f in fields(cfg) if f.init] == [
             "params", "grid", "estimator", "scheme", "beta", "omega0", "trials",
-            "master_seed", "noise_scale", "dual_mode"]
+            "master_seed", "dual_mode"]
         assert (cfg.n_eff, cfg.window) == (AP["flux"], retained_window(cfg.grid, cfg.edge_discard))
         for name in ("loop", "n_eff", "window"):
             assert f"{name}=" not in repr(cfg)
@@ -250,9 +247,8 @@ class TestRunTrial:
         cfg = make_config()
         assert run_trial(cfg, 0) != run_trial(cfg, 1)
 
-    def test_zero_noise_gives_zero_errors(self):
-        cfg = make_config(noise_scale=0.0)
-        result = run_trial(cfg, 0)
+    def test_zero_noise_gives_zero_errors(self, silent_trials):
+        result = run_trial(make_config(), 0)
         assert result.filtered_mse == 0.0
         assert result.smoothed_mse == 0.0
         assert result.backward_mse == 0.0
@@ -490,9 +486,9 @@ class TestRunEnsemble:
         cfg = make_config(trials=30, duration=5e-4)
         assert run_ensemble(cfg, workers=1) == run_ensemble(cfg, workers=WORKERS)
 
-    def test_degenerate_ensemble_rejected(self):
+    def test_degenerate_ensemble_rejected(self, silent_trials):
         with pytest.raises(StatisticsError):
-            run_ensemble(make_config(noise_scale=0.0))
+            run_ensemble(make_config())
 
     def test_matches_discrete_model_at_coarse_dt(self):
         # MC mean against the independently derived sampled-model closed form
@@ -668,8 +664,7 @@ class TestRunEnsembles:
         dict(grid=SimGrid(dt=2e-8, duration=2e-3)),
         dict(trials=40),
         dict(master_seed=100),
-        dict(noise_scale=0.5),
-    ], ids=["kappa", "lam", "grid", "trials", "seed", "noise_scale"])
+    ], ids=["kappa", "lam", "grid", "trials", "seed"])
     def test_configs_must_share_trials(self, change):
         base = make_config()
         with pytest.raises(ParameterError, match="agree in"):

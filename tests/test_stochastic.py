@@ -17,9 +17,11 @@ from ouphase import (
     wiener_increments,
 )
 
+from conftest import SilentStream
 
-def stream(seed=11, trial=0, role=Role.PHASE_NOISE, scale=1.0):
-    return NoiseStream(master_seed=seed, trial_index=trial, role=role, scale=scale)
+
+def stream(seed=11, trial=0, role=Role.PHASE_NOISE):
+    return NoiseStream(master_seed=seed, trial_index=trial, role=role)
 
 
 class TestWienerIncrements:
@@ -46,13 +48,10 @@ class TestWienerIncrements:
         assert lo <= sample_var / dt <= hi
 
     def test_pieces_from_one_generator_are_one_draw(self):
-        s = stream(seed=3, scale=0.5)
+        s = stream(seed=3)
         generator = s.generator()
         pieces = [wiener_increments(s, k, 2e-8, generator) for k in (0, 1, 4095, 70000)]
         assert np.array_equal(np.concatenate(pieces), wiener_increments(s, 74096, 2e-8))
-
-    def test_zero_scale_stream(self):
-        assert np.array_equal(wiener_increments(stream(scale=0.0), 64, 1e-8), np.zeros(64))
 
     @pytest.mark.parametrize("dt", [-1e-9, float("nan"), float("inf")])
     def test_bad_dt_rejected(self, dt):
@@ -72,8 +71,6 @@ class TestNoiseStream:
             NoiseStream(master_seed=2**64)
         with pytest.raises(ParameterError):
             NoiseStream(master_seed=1, trial_index=-1)
-        with pytest.raises(ParameterError):
-            NoiseStream(master_seed=1, scale=-0.5)
 
     def test_trial_index_fits_the_key(self):
         # trial_index*8 + role must fit in a uint64 key word
@@ -255,6 +252,19 @@ class TestSimulateOu:
         with pytest.raises(ParameterError):
             simulate_ou(params, SimGrid(dt=1e-6, duration=1e-4), stream())
 
+    @pytest.mark.parametrize("lam", [1e-30, 1e-300, 2.2e-308, 5e-324])
+    def test_reversion_the_grid_cannot_resolve_rejected(self, lam):
+        # exp(-lam*dt) rounds to 1 and the step variance to 0: phi would stay at
+        # its stationary draw, of sd sqrt(kappa/(2*lam)), for the whole trial
+        params = ProcessParams(kappa=1.5868e4, lam=lam, flux=1.3499e6)
+        with pytest.raises(ParameterError, match="too small for the grid"):
+            simulate_ou(params, SimGrid(dt=2e-8, duration=2e-4), stream())
+
+    def test_small_resolved_reversion_runs(self):
+        params = ProcessParams(kappa=1.5868e4, lam=1e-8, flux=1.3499e6)
+        phi = simulate_ou(params, SimGrid(dt=2e-8, duration=2e-4), stream())
+        assert np.all(np.diff(phi) != 0.0)
+
     def test_unknown_init_mode(self, ap_params):
         g = SimGrid(dt=1e-6, duration=1e-4)
         with pytest.raises(ParameterError):
@@ -264,6 +274,6 @@ class TestSimulateOu:
 
     def test_zero_scale_fixed_init_decays(self, ap_params):
         g = SimGrid(dt=1e-7, duration=1e-4)
-        phi = simulate_ou(ap_params, g, stream(scale=0.0), init=0.25)
+        phi = simulate_ou(ap_params, g, SilentStream(master_seed=11), init=0.25)
         t = np.arange(g.n_steps) * g.dt
         assert np.allclose(phi, 0.25 * np.exp(-ap_params.lam * t), rtol=1e-9)
