@@ -9,13 +9,14 @@ sample, the ensemble reports their mean and standard error.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, methodcaller
 
 import numpy as np
 
@@ -48,6 +49,7 @@ TRIAL_CHUNK = 8  # trial indices per pool task
 MIN_BLOCK = 2 ** 17  # samples per block of a trial, at least
 LOOKAHEAD_DECAYS = 40.0  # backward-average time constants each block looks ahead
 _THETA_KEY = attrgetter("scheme", "dual_mode", "n_eff")  # configs with one key share theta
+_processes = 1  # processes running trials at once: a pool's initializer sets its size
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,12 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     last one see a finite lookahead. phi and the theta of the run at hand are
     the rows of one array that lives for the trial, and each run keeps only
     its theta over the lookahead for the next block.
+
+    A trial of more blocks, in a process with a CPU free for it (the CPU count
+    is at least twice the number of processes running trials), draws each
+    stream's next block on a helper thread while it runs the block at hand
+    (``_DrawAhead``): the same generators in the same order, so the results
+    do not depend on it. The thread ends before this returns, also on error.
     """
     configs = _check_shared(configs)
     c0 = configs[0]
@@ -196,54 +204,69 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     block, lookahead = blocking(configs)
     phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
-    phase_gen = phase.generator()
     # the runs of consecutive configs with one theta key, as (index, config) pairs
     runs = [list(run) for _, run in itertools.groupby(enumerate(configs),
                                                       key=lambda pair: _THETA_KEY(pair[1]))]
-    detectors = [_detector(run[0][1], meas1, meas2) for run in runs]
     forward_start = [None] * len(configs)  # the forward average at the sample before the block
     loop_start = [0.0] * len(configs)      # phihat at the block's first sample
     moments = [_WindowMoments() for _ in configs]
 
-    # phi (row 0) and the theta of the run at hand (row 1) over a block and its
-    # lookahead. A trial of more blocks has two rows more, room for a block's
-    # forward and backward averages, so that glibc, whose trim threshold is
-    # twice the largest chunk it has unmapped, keeps the trial's pages from
-    # block to block and trial to trial.
-    held = np.empty((4 if lookahead else 2, block + lookahead))
-    phi, theta = held[0], held[1]
-    theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-    ahead = 0
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        drawn, ahead = ahead, min(e + lookahead, n) - e  # drawn: the last block's lookahead
-        size = e + ahead - s
-        phi[:drawn] = phi[block:block + drawn]  # moves to the front
-        new = slice(drawn, size)
-        if size > drawn:
-            phi[new] = simulate_ou(params, grid, phase, init, phase_gen, size - drawn,
-                                   None if s == 0 else float(phi[drawn - 1]))
-        for run, detector, kept in zip(runs, detectors, theta_ahead):
-            theta[:drawn] = kept[:drawn]
+    helper = lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes
+    with (_DrawAhead(_draw_lengths(n, block, lookahead)) if helper
+          else contextlib.nullcontext()) as noise:
+        generator = noise.generator if noise else methodcaller("generator")
+        phase_gen = generator(phase)
+        detectors = [_detector(run[0][1], meas1, meas2, generator) for run in runs]
+        # phi (row 0) and the theta of the run at hand (row 1) over a block and
+        # its lookahead. A trial of more blocks has two or three rows more: the
+        # buffers of the noise streams that the helper draws into or, with no
+        # helper, two rows of room for a block's forward and backward averages.
+        # So glibc, whose trim threshold is twice the largest chunk it has
+        # unmapped, keeps the trial's pages from block to block and trial to
+        # trial.
+        extra = len(noise.streams) if noise else 2 if lookahead else 0
+        held = np.empty((2 + extra, block + lookahead))
+        phi, theta = held[0], held[1]
+        theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
+        if noise:
+            noise.start(held[2:])
+        ahead = 0
+        for s in range(0, n, block):
+            e = min(s + block, n)
+            drawn, ahead = ahead, min(e + lookahead, n) - e  # drawn: the last block's lookahead
+            size = e + ahead - s
+            phi[:drawn] = phi[block:block + drawn]  # moves to the front
+            new = slice(drawn, size)
             if size > drawn:
-                theta[new] = detector(phi[new])
-            kept[:ahead] = theta[e - s:size]
-            for k, config in run:
-                source = theta[:size]
-                if config.estimator.source == "phihat":
-                    source = feedback_estimate(source, config.loop, dt, loop_start[k])
-                    loop_start[k] = float(source[e - s]) if ahead else None
-                f, b = apply_estimators(source, config.estimator, grid, forward_start[k], ahead)
-                forward_start[k] = float(f[-1])
-                i0, i1 = config.window
-                lo, hi = max(i0, s) - s, min(i1, e) - s
-                if lo < hi:
-                    f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        f -= truth
-                        b -= truth
-                        moments[k].add(f, b, last=hi == i1 - s)
-                f = b = source = None  # freed before the next theta or config's arrays are built
+                phi[new] = simulate_ou(params, grid, phase, init, phase_gen, size - drawn,
+                                       None if s == 0 else float(phi[drawn - 1]))
+                if noise:
+                    noise.done()
+            for run, detector, kept in zip(runs, detectors, theta_ahead):
+                theta[:drawn] = kept[:drawn]
+                if size > drawn:
+                    theta[new] = detector(phi[new])
+                    if noise:
+                        noise.done()
+                kept[:ahead] = theta[e - s:size]
+                for k, config in run:
+                    source = theta[:size]
+                    if config.estimator.source == "phihat":
+                        source = feedback_estimate(source, config.loop, dt, loop_start[k])
+                        loop_start[k] = float(source[e - s]) if ahead else None
+                    f, b = apply_estimators(source, config.estimator, grid, forward_start[k],
+                                            ahead)
+                    forward_start[k] = float(f[-1])
+                    i0, i1 = config.window
+                    lo, hi = max(i0, s) - s, min(i1, e) - s
+                    if lo < hi:
+                        f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            f -= truth
+                            b -= truth
+                            moments[k].add(f, b, last=hi == i1 - s)
+                    # freed before the next theta or config's arrays are built
+                    f = b = source = None
 
     results = []
     for config, sums in zip(configs, moments):
@@ -322,19 +345,104 @@ def blocking(configs) -> tuple[int, int]:
     return (n, 0) if n <= block else (block, lookahead)
 
 
-def _detector(config: ExperimentConfig, meas1: NoiseStream, meas2: NoiseStream):
+def _detector(config: ExperimentConfig, meas1: NoiseStream, meas2: NoiseStream, generator):
     """theta of ``config``'s detector as a function of phi's next block; each
-    measurement stream draws from one generator across the blocks."""
+    measurement stream draws from ``generator(stream)``, one generator (or its
+    stand-in, ``_DrawAhead.generator``) across the blocks."""
     grid = config.grid
     if config.dual_mode == "arg":
         streams = (meas1, meas2)
-        generators = (meas1.generator(), meas2.generator())
+        generators = tuple(map(generator, streams))
         return lambda phi: run_dual_homodyne(phi, config.params, grid, streams, generators)
     meas = meas1 if config.scheme == "adaptive" else meas2
-    generator = meas.generator()
+    meas_gen = generator(meas)
     # dW is not bound to a name, so it is freed before the estimators run
     return lambda phi: linearized_theta(
-        phi, wiener_increments(meas, len(phi), grid.dt, generator), config.n_eff, grid.dt)
+        phi, wiener_increments(meas, len(phi), grid.dt, meas_gen), config.n_eff, grid.dt)
+
+
+def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
+    """The samples each block of a trial draws, for the blocks that draw any:
+    a block draws up to its lookahead's end, min(start + B + L, n)."""
+    ends = [min(s + block + lookahead, n) for s in range(0, n, block)]
+    return [end - start for start, end in zip([0, *ends], ends) if end > start]
+
+
+class _DrawAhead:
+    """The noise of a trial of more blocks, drawn one block ahead on one
+    helper thread.
+
+    ``generator(stream)`` adds one reader of the stream and returns the
+    stand-in for its generator. ``start(buffers)`` then gives each stream one
+    buffer, a row of ``buffers`` that the trial's thread allocated. Once
+    every reader of a stream's block is done with it, the helper draws the
+    stream's next block into it with the raw ``Generator.standard_normal``,
+    which releases the GIL and is nothing that a tracer of
+    ``NoiseStream.normals`` sees; the trial's thread meanwhile runs the block
+    at hand. ``done()`` follows every reader's return. Leaving the context
+    cancels pending draws and joins the thread.
+    """
+
+    def __init__(self, lengths: list[int]):
+        self._lengths = lengths  # of each block's draw
+        self.streams = {}
+
+    def __enter__(self):
+        self._helper = ThreadPoolExecutor(max_workers=1)
+        return self
+
+    def __exit__(self, *exc):
+        self._helper.shutdown(wait=True, cancel_futures=True)
+
+    def generator(self, stream: NoiseStream) -> _StreamAhead:
+        ahead = self.streams.get(stream)
+        if ahead is None:
+            ahead = self.streams[stream] = _StreamAhead(stream, self._helper, self._lengths)
+        ahead.readers += 1
+        return ahead
+
+    def start(self, buffers: np.ndarray):
+        for ahead, buffer in zip(self.streams.values(), buffers, strict=True):
+            ahead.start(buffer)
+
+    def done(self):
+        for ahead in self.streams.values():
+            ahead.done()
+
+
+class _StreamAhead:
+    """One stream of a ``_DrawAhead``: its generator, its buffer and its
+    readers. ``standard_normal(n)`` hands each reader the block's draw in
+    turn: a copy to all but the last, which gets the buffer itself, as a
+    reader may write its draw (``simulate_ou`` sets x[0], ``wiener_increments``
+    scales in place)."""
+
+    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor, lengths: list[int]):
+        self.readers = 0
+        self._draw = stream.generator().standard_normal
+        self._helper = helper
+        self._lengths = iter(lengths)
+        self._taken = 0
+
+    def start(self, buffer: np.ndarray):
+        self._buffer = buffer
+        self._refill()
+
+    def _refill(self):
+        length = next(self._lengths, 0)
+        self._next = length and self._helper.submit(self._draw, out=self._buffer[:length])
+
+    def standard_normal(self, n: int) -> np.ndarray:
+        drawn = self._next.result()
+        assert len(drawn) == n, "a reader asked for other than the block's draw"
+        self._taken += 1
+        return drawn if self._taken == self.readers else drawn.copy()
+
+    def done(self):
+        """Starts the next block's draw once every reader has taken this one."""
+        if self._taken == self.readers:
+            self._taken = 0
+            self._refill()
 
 
 @dataclass(frozen=True)
@@ -402,6 +510,8 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     ``workers > 1`` maps the trial indices over one process pool of
     min(workers, ceil(trials / 8), CPU count) processes; results are
     identical to a serial run because aggregation folds in trial-index order.
+    A worker draws ahead on a helper thread only if the CPU count is at least
+    twice the pool's size (``run_trials``).
     """
     configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -413,11 +523,18 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     if workers > 1:
         # a fork pool starts all its processes at once: no more than can get work
         size = min(workers, math.ceil(trials / TRIAL_CHUNK), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with ProcessPoolExecutor(max_workers=size, initializer=_share_cpus,
+                                 initargs=(size,)) as pool:
             rows = list(pool.map(task, range(trials), chunksize=TRIAL_CHUNK))
     else:
         rows = [task(i) for i in range(trials)]
     return [_report(config, [row[k] for row in rows]) for k, config in enumerate(configs)]
+
+
+def _share_cpus(processes: int) -> None:
+    """A pool worker's initializer: ``processes`` processes run trials at once."""
+    global _processes
+    _processes = processes
 
 
 def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialResult]:

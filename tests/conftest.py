@@ -1,4 +1,6 @@
 import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -6,6 +8,27 @@ import pytest
 from ouphase import NoiseStream, ProcessParams
 
 WORKERS = min(2, os.cpu_count() or 1)
+
+THREADED_FORKS = []  # the Python thread count at each fork that had more than one
+
+
+def _record_threaded_fork():
+    if threading.active_count() > 1:
+        THREADED_FORKS.append(threading.active_count())
+
+
+os.register_at_fork(before=_record_threaded_fork)
+
+
+@pytest.fixture(autouse=True)
+def no_fork_with_live_threads():
+    """Fails a test that forks (a worker pool) while a thread of this process
+    is alive: the child gets none of its threads, only the locks they held.
+    Python 3.12 warns of it, but counts the OpenBLAS threads that numpy and
+    scipy start at import as well."""
+    forks = len(THREADED_FORKS)
+    yield
+    assert THREADED_FORKS[forks:] == [], "forked with Python threads alive"
 
 
 @pytest.fixture(scope="session")
@@ -39,8 +62,8 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)  # the serial map runs in this process: no initializer
 
         def __enter__(self):
             return self
@@ -53,3 +76,27 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr("ouphase.experiment.ProcessPoolExecutor", RecordingPool)
     return sizes
+
+
+@pytest.fixture
+def inline_draws(monkeypatch):
+    """Swaps the experiment's helper thread for a stand-in that runs each
+    submitted draw at once, on the trial's thread: draw-ahead with no
+    concurrency. Returns the length of every draw submitted."""
+    lengths = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            assert max_workers == 1
+
+        def submit(self, fn, *args, **kwargs):
+            lengths.append(len(kwargs["out"]))
+            future = Future()
+            future.set_result(fn(*args, **kwargs))
+            return future
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr("ouphase.experiment.ThreadPoolExecutor", InlineExecutor)
+    return lengths

@@ -518,7 +518,7 @@ class TestExitCodes:
 
     def test_broken_pool_is_three(self, monkeypatch, capsys):
         class BrokenPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 pass
 
             def __enter__(self):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -445,14 +447,131 @@ class TestBlocks:
 
     def test_peak_memory_does_not_grow_with_flux_points(self):
         # each run of configs with one N' keeps only its theta over the lookahead
-        base = make_config(duration=MULTI_BLOCK)
-        configs = [replace(base, params=replace(base.params, flux=flux))
-                   for flux in (1.35e6, 2.7e6, 5.4e6, 1.08e7)]
+        configs = flux_points(make_config(duration=MULTI_BLOCK))
         block, lookahead = blocking(configs)
         assert lookahead and blocking(configs[:1]) == (block, lookahead)
         growth = (peak_bytes(lambda: run_trials(configs, 0))
                   - peak_bytes(lambda: run_trials(configs[:1], 0)))
         assert growth < 8 * block
+
+
+def flux_points(config):
+    """``config`` at four fluxes: four runs of configs that read one measurement stream."""
+    return [replace(config, params=replace(config.params, flux=flux))
+            for flux in (1.35e6, 2.7e6, 5.4e6, 1.08e7)]
+
+
+class NoHelper:
+    """A thread executor that fails when a trial starts its helper thread."""
+
+    def __init__(self, max_workers):
+        raise AssertionError("a helper thread started")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count that the experiment sees."""
+    def set_count(count):
+        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: count)
+    return set_count
+
+
+class TestDrawAhead:
+    # A trial of more blocks, with a CPU free for it, draws each stream's next
+    # block on one helper thread while it runs the block at hand: the same
+    # draws, so the same results, and no thread outlives the trial.
+    CASES = {
+        "theta": lambda: [make_config(seed=5, duration=MULTI_BLOCK)],
+        "phihat": lambda: [make_config(seed=5, duration=MULTI_BLOCK, estimator=PHIHAT)],
+        "dual-linearized": lambda: [make_config(seed=5, duration=MULTI_BLOCK,
+                                                scheme="dual_homodyne")],
+        "dual-arg": lambda: [make_config(seed=5, duration=MULTI_BLOCK, scheme="dual_homodyne",
+                                         dual_mode="arg")],
+        # several runs read one buffer: every reader but the last gets a copy
+        "four-flux": lambda: flux_points(make_config(duration=MULTI_BLOCK)),
+        # three runs read meas1 (one of them the arg model) and two read meas2
+        "mixed": lambda: [make_config(seed=5, duration=MULTI_BLOCK),
+                          make_config(seed=5, duration=MULTI_BLOCK, estimator=PHIHAT),
+                          make_config(seed=5, duration=MULTI_BLOCK, scheme="dual_homodyne",
+                                      dual_mode="arg"),
+                          make_config(seed=5, duration=MULTI_BLOCK, scheme="dual_homodyne"),
+                          make_config(seed=5, duration=MULTI_BLOCK,
+                                      params=ProcessParams(**{**AP, "flux": 2.7e6}))],
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_inline_draws_equal_threaded_ones(self, case, cpus, request):
+        cpus(2)
+        configs = self.CASES[case]()
+        assert blocking(configs)[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads trade the interpreter often
+        try:
+            threaded = [run_trials(configs, trial) for trial in range(8)]
+        finally:
+            sys.setswitchinterval(interval)
+        lengths = request.getfixturevalue("inline_draws")
+        assert [run_trials(configs, trial) for trial in range(8)] == threaded
+        assert lengths  # every draw went through the stand-in
+        cpus(1)  # no helper: each reader draws from its own generator
+        assert [run_trials(configs, trial) for trial in (0, 7)] == [threaded[0], threaded[7]]
+
+    def test_one_helper_thread_that_ends_with_the_trial(self, cpus, monkeypatch):
+        cpus(2)
+        apply, during = ouphase.experiment.apply_estimators, []
+
+        def counted(*args, **kwargs):
+            during.append(threading.active_count())
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", counted)
+        before = threading.active_count()
+        run_trial(make_config(duration=MULTI_BLOCK), 0)
+        assert threading.active_count() == before
+        assert len(during) == 3 and set(during) == {before + 1}
+
+    def test_helper_thread_ends_when_a_block_fails(self, cpus, monkeypatch):
+        cpus(2)
+        apply, during = ouphase.experiment.apply_estimators, []
+
+        def fails_in_the_second_block(*args, **kwargs):
+            during.append(threading.active_count())
+            if len(during) == 2:
+                raise RuntimeError("second block")
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", fails_in_the_second_block)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block"):
+            run_trial(make_config(duration=MULTI_BLOCK), 0)
+        assert threading.active_count() == before
+        assert during == [before + 1] * 2
+
+    def test_no_helper_without_a_free_cpu(self, cpus, monkeypatch):
+        cfg = make_config(duration=MULTI_BLOCK)
+        cpus(2)
+        expected = run_trial(cfg, 0)
+        cpus(1)
+        monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
+        assert run_trial(cfg, 0) == expected
+        cpus(64)
+        run_trial(make_config(), 0)  # one block: no helper at any CPU count
+
+    @pytest.mark.parametrize("count, helper", [(2, False), (4, True)])
+    def test_pool_workers_draw_ahead_only_with_a_cpu_each_to_spare(self, count, helper, cpus,
+                                                                  monkeypatch):
+        cpus(count)
+        monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
+        cfg = make_config(duration=MULTI_BLOCK, trials=30)
+        if helper:
+            with pytest.raises(AssertionError, match="a helper thread started"):
+                run_ensemble(cfg, workers=2)
+        else:
+            run_ensemble(cfg, workers=2)
+
+    def test_serial_and_pool_reports_are_equal(self):
+        cfg = make_config(duration=MULTI_BLOCK, trials=30)
+        assert run_ensemble(cfg) == run_ensemble(cfg, workers=2)
 
 
 class TestRunEnsemble:
