@@ -39,10 +39,12 @@ SCHEMES = ("adaptive", "dual_homodyne")
 
 
 def effective_flux(params: ProcessParams, scheme: str) -> float:
-    """Flux entering the error formulas: N for adaptive, N/2 for dual homodyne."""
+    """Flux entering the error formulas: N for adaptive, N/2 (> 0) for dual homodyne."""
     if scheme not in SCHEMES:
         raise ParameterError(f"unknown scheme: {scheme!r}")
-    return params.flux if scheme == "adaptive" else params.flux / 2.0
+    if scheme == "adaptive":
+        return params.flux
+    return check_real("the dual homodyne flux/2", params.flux / 2.0, above=0.0)
 
 
 def limit_chi(params: ProcessParams, scheme: str) -> float:

@@ -9,14 +9,13 @@ sample, the ensemble reports their mean and standard error.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
-from operator import attrgetter, methodcaller
+from functools import cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -185,17 +184,19 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
 
     The trial runs in blocks (``blocking``), so its memory does not grow
     with its length; a trial of one block is the case with no lookahead. Each
-    stream draws from one generator and each recursion carries its state from
-    block to block; only the backward averages of a block that is not the
-    last one see a finite lookahead. phi and the theta of the run at hand are
-    the rows of one array that lives for the trial, and each run keeps only
-    its theta over the lookahead for the next block.
+    recursion carries its state from block to block; only the backward
+    averages of a block that is not the last one see a finite lookahead. phi
+    and the theta of the run at hand are the rows of one array that lives for
+    the trial, and each run keeps only its theta over the lookahead for the
+    next block.
 
-    A trial of more blocks, in a process with a CPU free for it (the CPU count
-    is at least twice the number of processes running trials), draws each
-    stream's next block on a helper thread while it runs the block at hand
-    (``_DrawAhead``): the same generators in the same order, so the results
-    do not depend on it. The thread ends before this returns, also on error.
+    Each noise stream is drawn once per block by one generator, and every
+    reader of it but the last gets a copy (``_DrawAhead``). With a CPU free
+    for it (the CPU count is at least twice the number of processes running
+    trials), a trial of more blocks draws the next block on a helper thread
+    while it runs the block at hand; otherwise a block's draw runs when its
+    first reader asks. The draws, so the results, are the same either way.
+    The thread ends before this returns, also on error.
     """
     configs = _check_shared(configs)
     c0 = configs[0]
@@ -212,24 +213,18 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     moments = [_WindowMoments() for _ in configs]
 
     helper = lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes
-    with (_DrawAhead(_draw_lengths(n, block, lookahead)) if helper
-          else contextlib.nullcontext()) as noise:
-        generator = noise.generator if noise else methodcaller("generator")
-        phase_gen = generator(phase)
-        detectors = [_detector(run[0][1], meas1, meas2, generator) for run in runs]
+    with _DrawAhead(_draw_lengths(n, block, lookahead), helper) as noise:
+        phase_gen = noise.generator(phase)
+        detectors = [_detector(run[0][1], meas1, meas2, noise.generator) for run in runs]
         # phi (row 0) and the theta of the run at hand (row 1) over a block and
-        # its lookahead. A trial of more blocks has two or three rows more: the
-        # buffers of the noise streams that the helper draws into or, with no
-        # helper, two rows of room for a block's forward and backward averages.
-        # So glibc, whose trim threshold is twice the largest chunk it has
-        # unmapped, keeps the trial's pages from block to block and trial to
-        # trial.
-        extra = len(noise.streams) if noise else 2 if lookahead else 0
-        held = np.empty((2 + extra, block + lookahead))
+        # its lookahead. A trial of more blocks has a row more per noise stream,
+        # the buffer its draws go to; so glibc, whose trim threshold is twice
+        # the largest chunk it has unmapped, keeps the trial's pages from block
+        # to block and trial to trial. A trial of one block allocates its draws.
+        held = np.empty((2 + (len(noise.streams) if lookahead else 0), block + lookahead))
         phi, theta = held[0], held[1]
         theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-        if noise:
-            noise.start(held[2:])
+        noise.start(held[2:])
         ahead = 0
         for s in range(0, n, block):
             e = min(s + block, n)
@@ -240,14 +235,12 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
             if size > drawn:
                 phi[new] = simulate_ou(params, grid, phase, init, phase_gen, size - drawn,
                                        None if s == 0 else float(phi[drawn - 1]))
-                if noise:
-                    noise.done()
+                noise.done()
             for run, detector, kept in zip(runs, detectors, theta_ahead):
                 theta[:drawn] = kept[:drawn]
                 if size > drawn:
                     theta[new] = detector(phi[new])
-                    if noise:
-                        noise.done()
+                    noise.done()
                 kept[:ahead] = theta[e - s:size]
                 for k, config in run:
                     source = theta[:size]
@@ -347,8 +340,8 @@ def blocking(configs) -> tuple[int, int]:
 
 def _detector(config: ExperimentConfig, meas1: NoiseStream, meas2: NoiseStream, generator):
     """theta of ``config``'s detector as a function of phi's next block; each
-    measurement stream draws from ``generator(stream)``, one generator (or its
-    stand-in, ``_DrawAhead.generator``) across the blocks."""
+    measurement stream draws from ``generator(stream)``, a reader of the
+    trial's ``_DrawAhead``."""
     grid = config.grid
     if config.dual_mode == "arg":
         streams = (meas1, meas2)
@@ -369,30 +362,31 @@ def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
 
 
 class _DrawAhead:
-    """The noise of a trial of more blocks, drawn one block ahead on one
-    helper thread.
+    """The noise of a trial: each stream drawn once per block, by one
+    generator, for all of its readers.
 
     ``generator(stream)`` adds one reader of the stream and returns the
-    stand-in for its generator. ``start(buffers)`` then gives each stream one
-    buffer, a row of ``buffers`` that the trial's thread allocated. Once
-    every reader of a stream's block is done with it, the helper draws the
-    stream's next block into it with the raw ``Generator.standard_normal``,
-    which releases the GIL and is nothing that a tracer of
-    ``NoiseStream.normals`` sees; the trial's thread meanwhile runs the block
-    at hand. ``done()`` follows every reader's return. Leaving the context
+    stand-in for its generator. ``start(buffers)`` gives each stream a row of
+    ``buffers`` to draw into, or none on a trial of one block. With
+    ``helper``, one helper thread draws a stream's next block once every
+    reader is done with the last, by the raw ``Generator.standard_normal``,
+    which releases the GIL and which a tracer of ``NoiseStream.normals`` does
+    not see; otherwise the trial's thread draws it when its first reader
+    asks. ``done()`` follows every reader's return. Leaving the context
     cancels pending draws and joins the thread.
     """
 
-    def __init__(self, lengths: list[int]):
+    def __init__(self, lengths: list[int], helper: bool):
         self._lengths = lengths  # of each block's draw
+        self._helper = ThreadPoolExecutor(max_workers=1) if helper else None
         self.streams = {}
 
     def __enter__(self):
-        self._helper = ThreadPoolExecutor(max_workers=1)
         return self
 
     def __exit__(self, *exc):
-        self._helper.shutdown(wait=True, cancel_futures=True)
+        if self._helper:
+            self._helper.shutdown(wait=True, cancel_futures=True)
 
     def generator(self, stream: NoiseStream) -> _StreamAhead:
         ahead = self.streams.get(stream)
@@ -402,7 +396,7 @@ class _DrawAhead:
         return ahead
 
     def start(self, buffers: np.ndarray):
-        for ahead, buffer in zip(self.streams.values(), buffers, strict=True):
+        for ahead, buffer in itertools.zip_longest(self.streams.values(), buffers):
             ahead.start(buffer)
 
     def done(self):
@@ -413,27 +407,29 @@ class _DrawAhead:
 class _StreamAhead:
     """One stream of a ``_DrawAhead``: its generator, its buffer and its
     readers. ``standard_normal(n)`` hands each reader the block's draw in
-    turn: a copy to all but the last, which gets the buffer itself, as a
+    turn: a copy to all but the last, which gets the draw itself, as a
     reader may write its draw (``simulate_ou`` sets x[0], ``wiener_increments``
     scales in place)."""
 
-    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor, lengths: list[int]):
+    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor | None, lengths: list[int]):
         self.readers = 0
         self._draw = stream.generator().standard_normal
         self._helper = helper
         self._lengths = iter(lengths)
         self._taken = 0
 
-    def start(self, buffer: np.ndarray):
+    def start(self, buffer: np.ndarray | None):
         self._buffer = buffer
         self._refill()
 
     def _refill(self):
         length = next(self._lengths, 0)
-        self._next = length and self._helper.submit(self._draw, out=self._buffer[:length])
+        out = None if self._buffer is None else self._buffer[:length]
+        draw = partial(self._draw, length, out=out)
+        self._next = length and (self._helper.submit(draw).result if self._helper else cache(draw))
 
     def standard_normal(self, n: int) -> np.ndarray:
-        drawn = self._next.result()
+        drawn = self._next()
         assert len(drawn) == n, "a reader asked for other than the block's draw"
         self._taken += 1
         return drawn if self._taken == self.readers else drawn.copy()

@@ -1,6 +1,5 @@
 import os
 import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -77,26 +76,3 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr("ouphase.experiment.ProcessPoolExecutor", RecordingPool)
     return sizes
 
-
-@pytest.fixture
-def inline_draws(monkeypatch):
-    """Swaps the experiment's helper thread for a stand-in that runs each
-    submitted draw at once, on the trial's thread: draw-ahead with no
-    concurrency. Returns the length of every draw submitted."""
-    lengths = []
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            assert max_workers == 1
-
-        def submit(self, fn, *args, **kwargs):
-            lengths.append(len(kwargs["out"]))
-            future = Future()
-            future.set_result(fn(*args, **kwargs))
-            return future
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr("ouphase.experiment.ThreadPoolExecutor", InlineExecutor)
-    return lengths

@@ -483,6 +483,16 @@ class TestExitCodes:
         assert out == ""
         assert not dest.exists()
 
+    @pytest.mark.parametrize("command", [["analytic"], ["simulate", "--trials", "30",
+                                                        "--duration", "2e-4"]],
+                             ids=["analytic", "simulate"])
+    def test_dual_flux_whose_half_rounds_to_zero_is_one(self, command, capsys):
+        # N' = N/2 underflows to 0, which every dual formula divides by
+        code, out, err = run([*command, "--scheme", "dual_homodyne", "--flux", "5e-324"], capsys)
+        assert code == 1
+        assert err == "ouphase: error: the dual homodyne flux/2 must be finite and > 0\n"
+        assert out == ""
+
     def test_non_finite_expectation_is_one(self, tmp_path, capsys):
         # kappa*lam and (chi + lam)**2 both overflow: the smoothed row's
         # expectation would be inf/inf, printed as nan with a z of nan

@@ -3,6 +3,7 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -500,7 +501,7 @@ class TestDrawAhead:
     }
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_inline_draws_equal_threaded_ones(self, case, cpus, request):
+    def test_inline_draws_equal_threaded_ones(self, case, cpus):
         cpus(2)
         configs = self.CASES[case]()
         assert blocking(configs)[1]
@@ -510,11 +511,22 @@ class TestDrawAhead:
             threaded = [run_trials(configs, trial) for trial in range(8)]
         finally:
             sys.setswitchinterval(interval)
-        lengths = request.getfixturevalue("inline_draws")
+        cpus(1)  # no helper: each block's draw runs on the trial's thread
         assert [run_trials(configs, trial) for trial in range(8)] == threaded
-        assert lengths  # every draw went through the stand-in
-        cpus(1)  # no helper: each reader draws from its own generator
-        assert [run_trials(configs, trial) for trial in (0, 7)] == [threaded[0], threaded[7]]
+
+    @pytest.mark.parametrize("duration, count", [(5e-4, 64), (MULTI_BLOCK, 1), (MULTI_BLOCK, 2)],
+                             ids=["one-block", "multi-block-inline", "multi-block-helper"])
+    def test_each_stream_is_drawn_once_per_block(self, duration, count, cpus, monkeypatch):
+        # a flux sweep reads meas1 at two N': one generator, and one draw of
+        # it per block, serves both, on the helper thread or not
+        cpus(count)
+        configs = flux_sweep_configs("adaptive", duration)
+        draws = record_draws(monkeypatch)
+        run_trials(configs, 0)
+        n, block = configs[0].grid.n_steps, blocking(configs)[0]
+        assert {role: [sum(lengths) for lengths in made] for role, made in draws.items()} == {
+            Role.PHASE_NOISE: [n], Role.MEASUREMENT_NOISE: [n]}
+        assert [len(made[0]) for made in draws.values()] == [math.ceil(n / block)] * 2
 
     def test_one_helper_thread_that_ends_with_the_trial(self, cpus, monkeypatch):
         cpus(2)
@@ -707,14 +719,33 @@ def with_chi(config, *chis):
             for c in chis]
 
 
-def flux_sweep_configs(scheme):
-    """The configs of a two-point flux sweep: each flux at both optimal rates."""
+def flux_sweep_configs(scheme, duration=5e-4, fluxes=(1.35e6, 2.7e6)):
+    """The configs of a flux sweep: each flux at both optimal rates."""
     configs = []
-    for flux in (1.35e6, 2.7e6):
+    for flux in fluxes:
         params = ProcessParams(**{**AP, "flux": flux})
         chis = [optimal_chi(params, mode, scheme).chi_star for mode in ("filtered", "smoothed")]
-        configs += with_chi(make_config(duration=5e-4, params=params, scheme=scheme), *chis)
+        configs += with_chi(make_config(duration=duration, params=params, scheme=scheme), *chis)
     return configs
+
+
+def record_draws(monkeypatch):
+    """The lengths of the draws each stream's generators make: by role, one
+    list per generator made."""
+    draws, make = {}, NoiseStream.generator
+
+    def recording(stream):
+        draw, lengths = make(stream).standard_normal, []
+        draws.setdefault(stream.role, []).append(lengths)
+
+        def standard_normal(*args, **kwargs):
+            drawn = draw(*args, **kwargs)
+            lengths.append(len(drawn))
+            return drawn
+        return SimpleNamespace(standard_normal=standard_normal)
+
+    monkeypatch.setattr(NoiseStream, "generator", recording)
+    return draws
 
 
 def compare_configs(dual_mode):
@@ -822,6 +853,13 @@ class TestRunEnsembles:
         # each config's forward and backward arrays are freed before the next's
         configs = with_chi(make_config(), 1e5, 2e5, 3e5, 4e5, 5e5)
         assert peak_bytes(lambda: run_trials(configs, 0)) <= 4.5 * 8 * configs[0].grid.n_steps
+
+    def test_peak_memory_of_a_one_block_flux_sweep_is_five_arrays(self):
+        # a stream's one draw is held until the last of its readers takes it:
+        # one array more than a single config, never one per reader
+        configs = flux_sweep_configs("adaptive", 1e-3, (1.35e6, 2.7e6, 5.4e6))
+        assert not blocking(configs)[1]
+        assert peak_bytes(lambda: run_trials(configs, 0)) <= 5.5 * 8 * configs[0].grid.n_steps
 
     @pytest.mark.parametrize("workers, trials, cpus, size", [
         (5000, 30, 64, 4),    # ceil(30 / 8) chunks of trials

@@ -1,9 +1,8 @@
-"""Fuzz gate of the theory path: any numeric config, given on the command line
-or to the library, yields finite numbers or a ParameterError (exit 1), never a
-traceback, a nan or an inf.
-
-``simulate`` is not fuzzed here: an ensemble whose spread overflows exits 2
-by design (``test_cli.py::TestExitCodes::test_non_finite_ensemble_is_two``).
+"""Fuzz gate of every input: any numeric config, given on the command line
+or to the library, yields finite numbers or one error line, never a
+traceback, a nan or an inf. The theory path refuses with a ParameterError
+(exit 1); ``simulate`` may also exit 2, as an ensemble whose spread overflows
+is a statistics error (``test_cli.py::TestExitCodes::test_non_finite_ensemble_is_two``).
 """
 
 import io
@@ -24,6 +23,9 @@ EXTREMES = [0.0, -0.0, -1.0, 5e-324, 2.2e-308, 1e-300, 1e-30, 1e30, 1e20, 1e300,
             math.nan, math.inf, -math.inf, 3.0]
 VALUES = st.sampled_from(EXTREMES) | st.floats()
 FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+# simulate keeps its grid, trials and seed: 30 trials of 1e4 samples a case,
+# about 3 s for the 500 cases on 2 cores, most of them refused at once
+SIMULATE_KEYS = [key for key in REAL_KEYS if key not in ("dt", "duration", "warmup")]
 
 
 def flag(key: str, value: float) -> str:
@@ -32,16 +34,26 @@ def flag(key: str, value: float) -> str:
     return f"--{key.replace('_', '-')}={text}"
 
 
+def run(command: list[str], scheme: str, overrides: dict) -> tuple[int, str, str]:
+    """(exit status, stdout, stderr) of ``command`` with the scheme and overrides."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = dispatch([*command, "--scheme", scheme, *(flag(k, v) for k, v in overrides.items())])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_one_error_line(code: int, out: str, err: str):
+    prefix = {1: "ouphase: error: ", 2: "ouphase: statistics error: "}[code]
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 @FUZZ
 @given(scheme=st.sampled_from(SCHEMES),
        overrides=st.dictionaries(st.sampled_from(REAL_KEYS + INT_KEYS), VALUES,
                                  min_size=1, max_size=3))
 def test_analytic_prints_finite_numbers_or_one_error(scheme, overrides):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = dispatch(["analytic", "--scheme", scheme,
-                         *(flag(k, v) for k, v in overrides.items())])
-    out, err = out.getvalue(), err.getvalue()
+    code, out, err = run(["analytic"], scheme, overrides)
     if code == 0:
         assert err == ""
         for line in out.splitlines():
@@ -50,8 +62,22 @@ def test_analytic_prints_finite_numbers_or_one_error(scheme, overrides):
                 assert math.isfinite(float(value)), line
     else:
         assert code == 1
-        assert out == ""
-        assert err.startswith("ouphase: error: ") and err.count("\n") == 1, err
+        check_one_error_line(code, out, err)
+
+
+@settings(FUZZ, max_examples=500)
+@given(scheme=st.sampled_from(SCHEMES),
+       overrides=st.dictionaries(st.sampled_from(SIMULATE_KEYS), VALUES, min_size=1, max_size=2))
+def test_simulate_prints_finite_numbers_or_one_error(scheme, overrides):
+    code, out, err = run(["simulate", "--trials", "30", "--duration", "2e-4"], scheme, overrides)
+    if code == 0:
+        assert err == ""
+        header, *rows = out.splitlines()
+        assert rows, out
+        for row in rows:  # scheme, mode, then numbers
+            assert all(math.isfinite(float(value)) for value in row.split()[2:]), row
+    else:
+        check_one_error_line(code, out, err)
 
 
 @FUZZ
