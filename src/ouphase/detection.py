@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 from scipy.signal import lfilter
 
 from .errors import ConfigurationError, ParameterError, check_real, check_real_fields
@@ -28,6 +27,7 @@ __all__ = [
     "Trajectory",
     "run_adaptive_loop",
     "run_dual_homodyne",
+    "arg_theta",
     "linearized_theta",
     "feedback_estimate",
 ]
@@ -146,42 +146,43 @@ def run_adaptive_loop(
     return Trajectory(grid=grid, phi=phi, current=current, phihat=phihat, theta=theta)
 
 
+def arg_theta(phi, dW1, dW2, flux: float, dt: float) -> np.ndarray:
+    """Instantaneous estimate of a dual detector whose arms each see flux N',
+    with full trigonometric demodulation, for equal-length arrays phi, dW1
+    and dW2 (the arms' Wiener increments):
+
+        I+[k] = 2*sqrt(N')*cos(phi[k]) + dW1[k]/dt
+        I-[k] = 2*sqrt(N')*sin(phi[k]) + dW2[k]/dt
+        theta[k] = arg(I+[k] + i*I-[k])   wrapped to (-pi, pi]
+
+    No phase unwrapping is performed; at the rms phase amplitudes of
+    interest (~0.36 rad) wrapping events are rare but would contaminate
+    variance statistics. Its small-angle form is ``linearized_theta`` at N'
+    with the second arm's noise; trials of ``dual_mode="arg"`` run this one.
+    """
+    amp = 2.0 * math.sqrt(check_real("flux", flux, above=0.0))
+    dt = check_real("dt", dt, above=0.0)
+    plus = amp * np.cos(phi) + dW1 / dt
+    minus = amp * np.sin(phi) + dW2 / dt
+    theta = np.arctan2(minus, plus)
+    theta[theta == -np.pi] = np.pi
+    return theta
+
+
 def run_dual_homodyne(
     phi,
     params: ProcessParams,
     grid: SimGrid,
     streams: tuple[NoiseStream, NoiseStream],
-    generators: tuple[Generator, Generator] | None = None,
 ) -> np.ndarray:
-    """Static dual-quadrature run with full trigonometric demodulation; the
-    beam is split so each arm sees flux N/2. Returns theta:
-
-        I+[k] = 2*sqrt(N/2)*cos(phi[k]) + dW1[k]/dt
-        I-[k] = 2*sqrt(N/2)*sin(phi[k]) + dW2[k]/dt
-        theta[k] = arg(I+[k] + i*I-[k])   wrapped to (-pi, pi]
-
-    No phase unwrapping is performed; at the rms phase amplitudes of
-    interest (~0.36 rad) wrapping events are rare but would contaminate
-    variance statistics. The small-angle (linearized) dual detector is
-    ``linearized_theta`` at N/2 with the second arm's noise, which is what
-    ensembles run unless ``dual_mode="arg"``.
-
-    ``generators``, one ``stream.generator()`` per stream kept across calls,
-    continue earlier draws: ``phi`` is then the trajectory's next block, of
-    any length, and each arm draws its next len(phi) increments.
+    """Static dual-quadrature run over a given true-phase trajectory: the
+    beam is split so each arm sees flux N/2, each arm draws its increments
+    from its own stream, and theta is their ``arg_theta`` at N/2.
     """
-    if generators is None:
-        phi, generators = _check_phi(phi, grid), (None, None)
-    else:
-        phi = np.asarray(phi, dtype=float)
+    phi = _check_phi(phi, grid)
     s1, s2 = streams
     if s1 == s2:
         raise ParameterError("dual homodyne requires two independent measurement streams")
-
-    n, dt = len(phi), grid.dt
-    amp = 2.0 * math.sqrt(params.flux / 2.0)
-    plus = amp * np.cos(phi) + wiener_increments(s1, n, dt, generators[0]) / dt
-    minus = amp * np.sin(phi) + wiener_increments(s2, n, dt, generators[1]) / dt
-    theta = np.arctan2(minus, plus)
-    theta[theta == -np.pi] = np.pi
-    return theta
+    n, dt = grid.n_steps, grid.dt
+    return arg_theta(phi, wiener_increments(s1, n, dt), wiener_increments(s2, n, dt),
+                     params.flux / 2.0, dt)

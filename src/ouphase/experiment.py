@@ -14,14 +14,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
 from . import analytics
-from .detection import FeedbackParams, feedback_estimate, linearized_theta, run_dual_homodyne
-from .detection import run_adaptive_loop  # noqa: F401  bench/tracer.py wraps this name
+from .detection import FeedbackParams, arg_theta, feedback_estimate, linearized_theta
+from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench/tracer.py wraps them
 from .errors import ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
@@ -173,9 +173,12 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. phi is drawn
-    once. theta is built once for each consecutive run of configs with the
-    same (scheme, dual_mode, N'), by ``linearized_theta`` or (arg model)
-    ``run_dual_homodyne``; ``source="phihat"`` filters it (``feedback_estimate``).
+    once, and so are the increments dW of each measurement stream that a
+    config reads: meas1 for the adaptive scheme, meas2 for the linearized
+    dual one, both for the arg model. theta is built once for each
+    consecutive run of configs with the same (scheme, dual_mode, N'), by
+    ``linearized_theta`` or (arg model) ``arg_theta``, from those shared
+    increments; ``source="phihat"`` filters it (``feedback_estimate``).
 
     No smoothed series is built: its MSE is the quadratic form
     w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
@@ -190,13 +193,15 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     the trial, and each run keeps only its theta over the lookahead for the
     next block.
 
-    Each noise stream is drawn once per block by one generator, and every
-    reader of it but the last gets a copy (``_DrawAhead``). With a CPU free
-    for it (the CPU count is at least twice the number of processes running
-    trials), a trial of more blocks draws the next block on a helper thread
-    while it runs the block at hand; otherwise a block's draw runs when its
-    first reader asks. The draws, so the results, are the same either way.
-    The thread ends before this returns, also on error.
+    The trial is the one reader of each noise stream: it draws each once per
+    block by one generator (``_DrawAhead``), and every run that reads a
+    stream reads that draw without writing it; a stream's increments are
+    freed after the last run that reads them. With a CPU free for it (the
+    CPU count is at least twice the number of processes running trials), a
+    trial of more blocks draws the next block on a helper thread while it
+    runs the block at hand; otherwise a block's draw runs when the trial
+    reads it. The draws, so the results, are the same either way. The
+    thread ends before this returns, also on error.
     """
     configs = _check_shared(configs)
     c0 = configs[0]
@@ -208,23 +213,27 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     # the runs of consecutive configs with one theta key, as (index, config) pairs
     runs = [list(run) for _, run in itertools.groupby(enumerate(configs),
                                                       key=lambda pair: _THETA_KEY(pair[1]))]
+    # each run's theta model and the measurement streams it reads (in the model's
+    # argument order), and the last run that reads each stream
+    models = [(arg_theta, (meas1, meas2)) if c.dual_mode == "arg" else
+              (linearized_theta, (meas1 if c.scheme == "adaptive" else meas2,))
+              for c in (run[0][1] for run in runs)]
+    last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
     forward_start = [None] * len(configs)  # the forward average at the sample before the block
     loop_start = [0.0] * len(configs)      # phihat at the block's first sample
     moments = [_WindowMoments() for _ in configs]
 
+    streams = [phase, *last]
+    # phi (row 0) and the theta of the run at hand (row 1) over a block and its
+    # lookahead. A trial of more blocks has a row more per noise stream, the
+    # buffer its draws go to; so glibc, whose trim threshold is twice the
+    # largest chunk it has unmapped, keeps the trial's pages from block to
+    # block and trial to trial. A trial of one block allocates its draws.
+    held = np.empty((2 + (len(streams) if lookahead else 0), block + lookahead))
+    phi, theta = held[0], held[1]
+    theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
     helper = lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes
-    with _DrawAhead(_draw_lengths(n, block, lookahead), helper) as noise:
-        phase_gen = noise.generator(phase)
-        detectors = [_detector(run[0][1], meas1, meas2, noise.generator) for run in runs]
-        # phi (row 0) and the theta of the run at hand (row 1) over a block and
-        # its lookahead. A trial of more blocks has a row more per noise stream,
-        # the buffer its draws go to; so glibc, whose trim threshold is twice
-        # the largest chunk it has unmapped, keeps the trial's pages from block
-        # to block and trial to trial. A trial of one block allocates its draws.
-        held = np.empty((2 + (len(noise.streams) if lookahead else 0), block + lookahead))
-        phi, theta = held[0], held[1]
-        theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-        noise.start(held[2:])
+    with _DrawAhead(streams, _draw_lengths(n, block, lookahead), held[2:], helper) as noise:
         ahead = 0
         for s in range(0, n, block):
             e = min(s + block, n)
@@ -233,14 +242,22 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
             phi[:drawn] = phi[block:block + drawn]  # moves to the front
             new = slice(drawn, size)
             if size > drawn:
-                phi[new] = simulate_ou(params, grid, phase, init, phase_gen, size - drawn,
-                                       None if s == 0 else float(phi[drawn - 1]))
-                noise.done()
-            for run, detector, kept in zip(runs, detectors, theta_ahead):
+                phi[new] = simulate_ou(params, grid, phase, init, noise.streams[phase],
+                                       size - drawn, None if s == 0 else float(phi[drawn - 1]))
+                noise.streams[phase].done()
+            dW = {}  # each measurement stream's increments over the block's new samples
+            for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
                 theta[:drawn] = kept[:drawn]
                 if size > drawn:
-                    theta[new] = detector(phi[new])
-                    noise.done()
+                    for stream in read:
+                        if stream not in dW:
+                            dW[stream] = wiener_increments(stream, size - drawn, dt,
+                                                           noise.streams[stream])
+                    theta[new] = model(phi[new], *map(dW.get, read), run[0][1].n_eff, dt)
+                    for stream in read:
+                        if last[stream] == i:  # freed before the estimators run
+                            del dW[stream]
+                            noise.streams[stream].done()
                 kept[:ahead] = theta[e - s:size]
                 for k, config in run:
                     source = theta[:size]
@@ -338,22 +355,6 @@ def blocking(configs) -> tuple[int, int]:
     return (n, 0) if n <= block else (block, lookahead)
 
 
-def _detector(config: ExperimentConfig, meas1: NoiseStream, meas2: NoiseStream, generator):
-    """theta of ``config``'s detector as a function of phi's next block; each
-    measurement stream draws from ``generator(stream)``, a reader of the
-    trial's ``_DrawAhead``."""
-    grid = config.grid
-    if config.dual_mode == "arg":
-        streams = (meas1, meas2)
-        generators = tuple(map(generator, streams))
-        return lambda phi: run_dual_homodyne(phi, config.params, grid, streams, generators)
-    meas = meas1 if config.scheme == "adaptive" else meas2
-    meas_gen = generator(meas)
-    # dW is not bound to a name, so it is freed before the estimators run
-    return lambda phi: linearized_theta(
-        phi, wiener_increments(meas, len(phi), grid.dt, meas_gen), config.n_eff, grid.dt)
-
-
 def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
     """The samples each block of a trial draws, for the blocks that draw any:
     a block draws up to its lookahead's end, min(start + B + L, n)."""
@@ -362,83 +363,58 @@ def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
 
 
 class _DrawAhead:
-    """The noise of a trial: each stream drawn once per block, by one
-    generator, for all of its readers.
+    """The noise of a trial: a generator for each of ``streams``, drawn once
+    per block (``lengths``, each block's draw length) for the trial, its one
+    reader.
 
-    ``generator(stream)`` adds one reader of the stream and returns the
-    stand-in for its generator. ``start(buffers)`` gives each stream a row of
-    ``buffers`` to draw into, or none on a trial of one block. With
-    ``helper``, one helper thread draws a stream's next block once every
-    reader is done with the last, by the raw ``Generator.standard_normal``,
-    which releases the GIL and which a tracer of ``NoiseStream.normals`` does
-    not see; otherwise the trial's thread draws it when its first reader
-    asks. ``done()`` follows every reader's return. Leaving the context
-    cancels pending draws and joins the thread.
+    The attribute ``streams`` maps each to its ``_StreamAhead``, which stands
+    in for its generator. Each stream draws into its row of ``buffers``, or, with
+    no rows (a trial of one block), into a new array. With ``helper``, one
+    helper thread draws a stream's next block once the trial is done with
+    the last, by the raw ``Generator.standard_normal``, which releases the
+    GIL and which a tracer of ``NoiseStream.normals`` does not see; otherwise
+    the trial's thread draws it when the trial reads it. Entering the context
+    starts each stream's first draw; leaving it cancels pending draws and
+    joins the thread.
     """
 
-    def __init__(self, lengths: list[int], helper: bool):
-        self._lengths = lengths  # of each block's draw
+    def __init__(self, streams: list[NoiseStream], lengths: list[int], buffers: np.ndarray,
+                 helper: bool):
         self._helper = ThreadPoolExecutor(max_workers=1) if helper else None
-        self.streams = {}
+        self.streams = {stream: _StreamAhead(stream, self._helper, lengths, buffer)
+                        for stream, buffer in itertools.zip_longest(streams, buffers)}
 
     def __enter__(self):
+        for ahead in self.streams.values():
+            ahead.done()
         return self
 
     def __exit__(self, *exc):
         if self._helper:
             self._helper.shutdown(wait=True, cancel_futures=True)
 
-    def generator(self, stream: NoiseStream) -> _StreamAhead:
-        ahead = self.streams.get(stream)
-        if ahead is None:
-            ahead = self.streams[stream] = _StreamAhead(stream, self._helper, self._lengths)
-        ahead.readers += 1
-        return ahead
-
-    def start(self, buffers: np.ndarray):
-        for ahead, buffer in itertools.zip_longest(self.streams.values(), buffers):
-            ahead.start(buffer)
-
-    def done(self):
-        for ahead in self.streams.values():
-            ahead.done()
-
 
 class _StreamAhead:
-    """One stream of a ``_DrawAhead``: its generator, its buffer and its
-    readers. ``standard_normal(n)`` hands each reader the block's draw in
-    turn: a copy to all but the last, which gets the draw itself, as a
-    reader may write its draw (``simulate_ou`` sets x[0], ``wiener_increments``
-    scales in place)."""
+    """One stream of a ``_DrawAhead``: ``standard_normal(n)`` is the block's
+    draw, and ``done()``, once the trial is done with it, starts the next."""
 
-    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor | None, lengths: list[int]):
-        self.readers = 0
+    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor | None,
+                 lengths: list[int], buffer: np.ndarray | None):
         self._draw = stream.generator().standard_normal
         self._helper = helper
         self._lengths = iter(lengths)
-        self._taken = 0
-
-    def start(self, buffer: np.ndarray | None):
         self._buffer = buffer
-        self._refill()
-
-    def _refill(self):
-        length = next(self._lengths, 0)
-        out = None if self._buffer is None else self._buffer[:length]
-        draw = partial(self._draw, length, out=out)
-        self._next = length and (self._helper.submit(draw).result if self._helper else cache(draw))
 
     def standard_normal(self, n: int) -> np.ndarray:
         drawn = self._next()
-        assert len(drawn) == n, "a reader asked for other than the block's draw"
-        self._taken += 1
-        return drawn if self._taken == self.readers else drawn.copy()
+        assert len(drawn) == n, "the trial asked for other than the block's draw"
+        return drawn
 
     def done(self):
-        """Starts the next block's draw once every reader has taken this one."""
-        if self._taken == self.readers:
-            self._taken = 0
-            self._refill()
+        length = next(self._lengths, 0)
+        out = None if self._buffer is None else self._buffer[:length]
+        draw = partial(self._draw, length, out=out)
+        self._next = length and (self._helper.submit(draw).result if self._helper else draw)
 
 
 @dataclass(frozen=True)
@@ -472,8 +448,7 @@ class VarianceReport:
         raise ParameterError(f"report has no condition with mode {mode!r}")
 
 
-def _condition(config: ExperimentConfig, mode: str, samples) -> Condition:
-    analytic = analytics.analytic_mse(config, mode)
+def _condition(config: ExperimentConfig, mode: str, samples, analytic: float) -> Condition:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         mc = float(np.mean(samples))
         stderr = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
@@ -507,11 +482,14 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     min(workers, ceil(trials / 8), CPU count) processes; results are
     identical to a serial run because aggregation folds in trial-index order.
     A worker draws ahead on a helper thread only if the CPU count is at least
-    twice the pool's size (``run_trials``).
+    twice the pool's size (``run_trials``). Each config's theory is computed,
+    and so checked, before any trial runs.
     """
     configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
+    theories = [{mode: analytics.analytic_mse(config, mode)
+                 for mode in ("filtered", "smoothed", "backward")} for config in configs]
     trials = configs[0].trials
     if trials < MIN_TRIALS_FOR_STDERR:
         raise StatisticsError(f"{trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
@@ -524,7 +502,7 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
             rows = list(pool.map(task, range(trials), chunksize=TRIAL_CHUNK))
     else:
         rows = [task(i) for i in range(trials)]
-    return [_report(config, [row[k] for row in rows]) for k, config in enumerate(configs)]
+    return [_report(*report) for report in zip(configs, zip(*rows), theories)]
 
 
 def _share_cpus(processes: int) -> None:
@@ -540,10 +518,10 @@ def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialR
     return run_trials(configs, trial_index)
 
 
-def _report(config: ExperimentConfig, results: list[TrialResult]) -> VarianceReport:
+def _report(config: ExperimentConfig, results, theory: dict[str, float]) -> VarianceReport:
     filtered, smoothed, backward = (
-        _condition(config, mode, [getattr(r, f"{mode}_mse") for r in results])
-        for mode in ("filtered", "smoothed", "backward"))
+        _condition(config, mode, [getattr(r, f"{mode}_mse") for r in results], analytic)
+        for mode, analytic in theory.items())
     return VarianceReport(config=config, conditions=(filtered, smoothed), backward=backward)
 
 

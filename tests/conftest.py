@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+import ouphase.experiment
 from ouphase import NoiseStream, ProcessParams
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -52,6 +53,21 @@ class SilentStream(NoiseStream):
 def silent_trials(monkeypatch):
     """Makes every trial of ``ouphase.experiment`` draw from silent streams."""
     monkeypatch.setattr("ouphase.experiment.NoiseStream", SilentStream)
+
+
+def count_draws(monkeypatch):
+    """Counts of the phase trajectories, Wiener increments and two-arm dual
+    homodyne runs a run draws."""
+    calls = {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
+    for name in calls:
+        original = getattr(ouphase.experiment, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -18,6 +18,8 @@ from ouphase.cli import (
 )
 from ouphase.experiment import Condition, VarianceReport
 
+from conftest import count_draws
+
 FAST = ["--trials", "30", "--duration", "5e-4", "--seed", "7"]
 
 
@@ -387,18 +389,30 @@ class TestExitCodes:
         assert "'abc'" in err
 
     @pytest.mark.parametrize("args, message", [
-        # the first trial fails with its own error, before numpy warns of an overflow
-        (["--scheme", "dual_homodyne", "--flux", "1e-310"], "non-finite filtered MSE in trial 0"),
         # finite trials whose spread overflows: no RuntimeWarning escapes (the
         # suite turns them into errors)
         (["--kappa", "1e300"], "non-finite filtered ensemble: mean 1.3"),
-    ], ids=["trial", "spread"])
+    ], ids=["spread"])
     def test_non_finite_ensemble_is_two(self, args, message, capsys):
         code, out, err = run(["simulate", *args, "--trials", "30", "--duration", "5e-4",
                               "--seed", "7"], capsys)
         assert code == 2
         assert f"statistics error: {message}" in err
         assert "inf" not in out
+
+    @pytest.mark.parametrize("args, message", [
+        # a theory that is refused stops the run before its trials, as in `analytic`
+        (["--scheme", "dual_homodyne", "--flux", "1e-310", *FAST],
+         "filtered MSE is not finite at these parameters"),
+        (["--trials", "30", "--duration", "5e-3", "--lambda", "1.7e308"],
+         "forward-backward correlation is not finite at these parameters"),
+    ], ids=["flux", "lambda"])
+    def test_non_finite_theory_is_one_before_any_trial(self, args, message, capsys,
+                                                       monkeypatch):
+        calls = count_draws(monkeypatch)
+        code, out, err = run(["simulate", *args], capsys)
+        assert (code, out, err) == (1, "", f"ouphase: error: {message}\n")
+        assert calls["simulate_ou"] == 0
 
     def test_dual_scheme_numeric_beta_is_one(self, capsys):
         code, _, err = run(["simulate", *FAST, "--scheme", "dual_homodyne", "--beta", "1e6"],

@@ -10,6 +10,7 @@ from ouphase import (
     ParameterError,
     Role,
     SimGrid,
+    arg_theta,
     causal_exponential_average,
     empirical_mse,
     feedback_estimate,
@@ -167,14 +168,20 @@ class TestDualHomodyne:
                                   (silent(Role.MEASUREMENT_NOISE), silent(Role.MEASUREMENT_NOISE_2)))
         assert np.allclose(theta, 0.3, rtol=0, atol=1e-12)
 
-    def test_blocks_from_one_generator_per_arm(self, ap_params):
+    def test_is_arg_theta_of_both_arms(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-3)
         phi = simulate_ou(ap_params, g, noisy(Role.PHASE_NOISE))
-        streams = (noisy(), noisy(Role.MEASUREMENT_NOISE_2))
-        generators = tuple(s.generator() for s in streams)
-        blocks = [run_dual_homodyne(phi[a:b], ap_params, g, streams, generators)
-                  for a, b in ((0, 3), (3, 30000), (30000, g.n_steps))]
-        assert np.array_equal(np.concatenate(blocks), run_dual_homodyne(phi, ap_params, g, streams))
+        s1, s2 = noisy(), noisy(Role.MEASUREMENT_NOISE_2)
+        expected = arg_theta(phi, wiener_increments(s1, g.n_steps, g.dt),
+                             wiener_increments(s2, g.n_steps, g.dt), ap_params.flux / 2.0, g.dt)
+        assert np.array_equal(run_dual_homodyne(phi, ap_params, g, (s1, s2)), expected)
+
+    def test_arg_theta_wraps_minus_pi_to_pi(self):
+        # I- = -0.0 (phi = -0.0, no second-arm noise) and I+ < 0: arctan2 gives -pi
+        dt, flux = 2e-8, 1e6
+        dW1 = np.array([-4.0 * math.sqrt(flux) * dt, 0.0])
+        theta = arg_theta(np.array([-0.0, 0.0]), dW1, np.array([-0.0, 0.0]), flux, dt)
+        assert np.array_equal(theta, [np.pi, 0.0])
 
     def test_same_stream_rejected(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)

@@ -42,7 +42,7 @@ from ouphase.detection import feedback_estimate
 from ouphase.estimators import retained_window
 from ouphase.experiment import blocking, default_edge_discard
 
-from conftest import WORKERS
+from conftest import WORKERS, count_draws
 from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
 
 
@@ -326,6 +326,13 @@ class TestRunTrial:
         result = run_trial(cfg, 0)
         assert math.isfinite(result.smoothed_mse)
 
+    def test_non_finite_mse_rejected(self):
+        # at a dual flux of 1e-310 theta's errors overflow when squared
+        cfg = make_config(duration=5e-4, seed=7, scheme="dual_homodyne",
+                          params=ProcessParams(**{**AP, "flux": 1e-310}))
+        with pytest.raises(StatisticsError, match="non-finite filtered MSE in trial 0"):
+            run_trial(cfg, 0)
+
 
 def rescaled(config, c):
     """``config`` with every rate (kappa, lambda, N, chi, omega0, a numeric beta)
@@ -488,7 +495,7 @@ class TestDrawAhead:
                                                 scheme="dual_homodyne")],
         "dual-arg": lambda: [make_config(seed=5, duration=MULTI_BLOCK, scheme="dual_homodyne",
                                          dual_mode="arg")],
-        # several runs read one buffer: every reader but the last gets a copy
+        # several runs read one stream's draw, none of them writes it
         "four-flux": lambda: flux_points(make_config(duration=MULTI_BLOCK)),
         # three runs read meas1 (one of them the arg model) and two read meas2
         "mixed": lambda: [make_config(seed=5, duration=MULTI_BLOCK),
@@ -756,21 +763,6 @@ def compare_configs(dual_mode):
             make_config(duration=5e-4, chi=chi_dh, scheme="dual_homodyne", dual_mode=dual_mode)]
 
 
-def count_draws(monkeypatch):
-    """Counts of the phase trajectories, Wiener increments and two-arm dual
-    homodyne runs a run draws."""
-    calls = {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
-    for name in calls:
-        original = getattr(ouphase.experiment, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(ouphase.experiment, name, counted)
-    return calls
-
-
 class TestRunEnsembles:
     CASES = {
         "chi-theta": lambda: with_chi(make_config(duration=5e-4), 2e5, 3e5, 4.5e5),
@@ -832,13 +824,16 @@ class TestRunEnsembles:
                        [1e5, 2e5, 3e5, 4e5, 5e5]), (30, 30, 0)),
         (lambda: sweep(make_config(duration=5e-4, scheme="dual_homodyne", dual_mode="arg"),
                        "chi", [1e5, 2e5, 3e5, 4e5, 5e5]),
-         (30, 0, 30)),
-        (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 60, 0)),
+         (30, 60, 0)),
+        (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 30, 0)),
         (lambda: run_ensembles(compare_configs("linearized")), (30, 60, 0)),
-    ], ids=["chi-sweep", "chi-sweep-phihat", "chi-sweep-arg", "flux-sweep", "compare"])
+        (lambda: run_ensembles(compare_configs("arg")), (30, 60, 0)),
+    ], ids=["chi-sweep", "chi-sweep-phihat", "chi-sweep-arg", "flux-sweep", "compare",
+            "compare-arg"])
     def test_draws_each_trial_index_once(self, run, draws, monkeypatch):
-        # one phi per trial index; one theta (a dW or a two-arm run) per trial
-        # index and detector model at each N'
+        # one phi and one dW per measurement stream read, per trial index, however
+        # many configs, detector models and N' read them; no two-arm run, as
+        # trials build the arg model's theta from the shared increments
         calls = count_draws(monkeypatch)
         run()
         assert tuple(calls.values()) == draws
@@ -855,11 +850,17 @@ class TestRunEnsembles:
         assert peak_bytes(lambda: run_trials(configs, 0)) <= 4.5 * 8 * configs[0].grid.n_steps
 
     def test_peak_memory_of_a_one_block_flux_sweep_is_five_arrays(self):
-        # a stream's one draw is held until the last of its readers takes it:
-        # one array more than a single config, never one per reader
+        # a stream's one draw is held until the last run that reads it has built
+        # its theta: one array more than a single config, never one per reader
         configs = flux_sweep_configs("adaptive", 1e-3, (1.35e6, 2.7e6, 5.4e6))
         assert not blocking(configs)[1]
         assert peak_bytes(lambda: run_trials(configs, 0)) <= 5.5 * 8 * configs[0].grid.n_steps
+
+    def test_peak_memory_of_a_one_block_arg_sweep_is_seven_arrays(self):
+        # phi, theta, both arms' increments and the arg model's three temporaries
+        configs = with_chi(make_config(scheme="dual_homodyne", dual_mode="arg"), 2e5, 3e5, 4e5)
+        assert not blocking(configs)[1]
+        assert peak_bytes(lambda: run_trials(configs, 0)) <= 7.5 * 8 * configs[0].grid.n_steps
 
     @pytest.mark.parametrize("workers, trials, cpus, size", [
         (5000, 30, 64, 4),    # ceil(30 / 8) chunks of trials
