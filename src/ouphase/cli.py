@@ -20,14 +20,7 @@ from typing import Callable, NamedTuple
 from . import __version__, analytics
 from .errors import ParameterError, StatisticsError
 from .estimators import EstimatorParams
-from .experiment import (
-    Condition,
-    ExperimentConfig,
-    compare_schemes,
-    run_ensemble,
-    run_ensembles,
-    sweep,
-)
+from .experiment import Condition, ExperimentConfig, compare, run_ensemble, sweep
 from .stochastic import ProcessParams, SimGrid
 
 __all__ = ["DEFAULTS", "load_config", "emit_results", "build_manifest", "dispatch", "main"]
@@ -362,29 +355,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args)
-    if config.beta not in ("auto", None):
-        raise ParameterError("compare sets beta from chi at every point: "
-                             f"beta must be 'auto', got {config.beta!r}")
-    params = config.params
-    chi_ap = analytics.limit_chi(params, "adaptive")
-    chi_dh = analytics.limit_chi(params, "dual_homodyne")
-    est_ap = replace(config.estimator, chi_minus=chi_ap, chi_plus=chi_ap)
-    est_dh = replace(config.estimator, chi_minus=chi_dh, chi_plus=chi_dh, source="theta")
-    reports = run_ensembles(
-        [replace(config, scheme="adaptive", estimator=est_ap),
-         replace(config, scheme="dual_homodyne", beta=None, estimator=est_dh,
-                 dual_mode=args.dual_mode)],
-        workers=args.workers,
-    )
-    gains = compare_schemes(*reports)
-    extra = {"dual_mode": args.dual_mode, "compare_chi_adaptive": chi_ap, "compare_chi_dual": chi_dh}
-    _emit(args, reports, reports[0].config, extra)
+    reports, gains = compare(_config_from_args(args), args.dual_mode, workers=args.workers)
+    adaptive, dual = (report.config for report in reports)
+    extra = {"dual_mode": dual.dual_mode, "compare_chi_adaptive": adaptive.estimator.chi_minus,
+             "compare_chi_dual": dual.estimator.chi_minus}
+    _emit(args, reports, adaptive, extra)
     print()
     print(f"{'smoothing_gain':<20} {gains.smoothing_gain:.6g} +- {gains.smoothing_gain_stderr:.3g}")
     print(f"{'adaptive_gain':<20} {gains.adaptive_gain:.6g} +- {gains.adaptive_gain_stderr:.3g}")
     print(f"{'total_gain':<20} {gains.total_gain:.6g} +- {gains.total_gain_stderr:.3g}")
-    print(f"{'sql_mse':<20} {analytics.sql_mse(params):.9g}")
+    print(f"{'sql_mse':<20} {analytics.sql_mse(adaptive.params):.9g}")
     return 0
 
 

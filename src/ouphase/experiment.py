@@ -39,7 +39,7 @@ __all__ = [
     "run_ensemble",
     "run_ensembles",
     "sweep",
-    "compare_schemes",
+    "compare",
     "default_edge_discard",
 ]
 
@@ -536,6 +536,20 @@ def _check_sweep_values(values) -> np.ndarray:
     return vals
 
 
+def _check_beta_per_point(config: ExperimentConfig, who: str) -> None:
+    if config.beta not in ("auto", None):
+        raise ParameterError(f"{who} sets beta from chi at every point: "
+                             f"beta must be 'auto', got {config.beta!r}")
+
+
+def _at_chi(config: ExperimentConfig, chi: float, source: str | None = None,
+            **changes) -> ExperimentConfig:
+    """``config`` with both averaging rates at ``chi``, ``source`` if given, and ``changes``."""
+    est = replace(config.estimator, chi_minus=chi, chi_plus=chi,
+                  source=source or config.estimator.source)
+    return replace(config, estimator=est, **changes)
+
+
 def sweep(
     config: ExperimentConfig, axis: str, values, workers: int = 1
 ) -> list[VarianceReport]:
@@ -545,15 +559,14 @@ def sweep(
     adaptive scheme, beta follows sqrt(8*chi*N) per point. axis="flux": chi is
     re-optimized per point and per mode (each mode is measured at its own
     exact optimal rate), beta likewise, so the sweep traces the optimal MSEs
-    (a numeric beta, or a flux whose optimum is chi -> 0, is an error). Every
-    point's config is built, and so checked, before any trial runs.
+    (a numeric beta, checked after the values, or a flux whose optimum is
+    chi -> 0, is an error). Every point's config is built, and so checked,
+    before any trial runs.
     """
     vals = _check_sweep_values(values)
     if axis not in ("chi", "flux"):
         raise ParameterError(f"unknown sweep axis: {axis!r}")
-    if config.beta not in ("auto", None):
-        raise ParameterError(f"a {axis} sweep sets beta from chi at every point: "
-                             f"beta must be 'auto', got {config.beta!r}")
+    _check_beta_per_point(config, f"a {axis} sweep")
     # a flux point measures each mode at its own rate; a chi point is one config
     modes = ("filtered", "smoothed") if axis == "flux" else (None,)
     configs = []
@@ -563,9 +576,7 @@ def sweep(
             opt = analytics.optimal_chi(params, mode, config.scheme) if mode else None
             if opt and opt.at_boundary:
                 raise ParameterError(f"flux {value:g} has no interior {mode} optimum: chi* -> 0")
-            chi = opt.chi_star if opt else value
-            est = replace(config.estimator, chi_minus=chi, chi_plus=chi)
-            configs.append(replace(config, params=params, estimator=est))
+            configs.append(_at_chi(config, opt.chi_star if opt else value, params=params))
     reports = run_ensembles(configs, workers)
     k = len(modes)
     return [VarianceReport(config=f.config,
@@ -592,17 +603,24 @@ def _ratio(num: Condition, den: Condition) -> tuple[float, float]:
     return r, r * rel
 
 
-def compare_schemes(adaptive: VarianceReport, dual: VarianceReport) -> GainComparison:
-    """Four-technique comparison from an adaptive and a dual-homodyne report.
+def compare(config: ExperimentConfig, dual_mode: str = "linearized",
+            workers: int = 1) -> tuple[list[VarianceReport], GainComparison]:
+    """The four-technique comparison on shared trials: the adaptive and the
+    dual-homodyne report (in that order, from one ``run_ensembles``) and
+    their gains.
 
-    The total gain is the analytic standard quantum limit of the adaptive
-    report's parameters over the MC smoothed adaptive error.
+    Each scheme runs ``config`` at its own limit rate 2*sqrt(kappa*N'). The
+    adaptive run keeps the config's source, and beta follows chi, so a
+    numeric beta is an error; the dual run reads theta through the
+    ``dual_mode`` detector. The total gain is the analytic standard quantum
+    limit over the MC smoothed adaptive error.
     """
-    schemes = (adaptive.config.scheme, dual.config.scheme)
-    if schemes != ("adaptive", "dual_homodyne"):
-        raise ParameterError(
-            f"comparison needs an adaptive and a dual_homodyne report, got {schemes}"
-        )
+    _check_beta_per_point(config, "compare")
+    chi = partial(analytics.limit_chi, config.params)
+    adaptive, dual = reports = run_ensembles(
+        [_at_chi(config, chi("adaptive"), scheme="adaptive", dual_mode="linearized"),
+         _at_chi(config, chi("dual_homodyne"), "theta", scheme="dual_homodyne", beta=None,
+                 dual_mode=dual_mode)], workers)
     ap_f = adaptive.condition("filtered")
     ap_s = adaptive.condition("smoothed")
     dh_f = dual.condition("filtered")
@@ -612,11 +630,5 @@ def compare_schemes(adaptive: VarianceReport, dual: VarianceReport) -> GainCompa
     sql = analytics.sql_mse(adaptive.config.params)
     total = sql / ap_s.mc_mse
     total_err = total * ap_s.mc_stderr / ap_s.mc_mse
-    return GainComparison(
-        smoothing_gain=smoothing,
-        smoothing_gain_stderr=smoothing_err,
-        adaptive_gain=adaptive_gain,
-        adaptive_gain_stderr=adaptive_err,
-        total_gain=total,
-        total_gain_stderr=total_err,
-    )
+    return reports, GainComparison(smoothing, smoothing_err, adaptive_gain, adaptive_err,
+                                   total, total_err)

@@ -10,6 +10,7 @@ from ouphase import (
     ParameterError,
     Role,
     SimGrid,
+    Trajectory,
     arg_theta,
     causal_exponential_average,
     empirical_mse,
@@ -53,6 +54,12 @@ class TestAdaptiveLoop:
         assert np.array_equal(traj.current, np.zeros(g.n_steps))
         assert np.array_equal(traj.phihat, np.zeros(g.n_steps))
         assert np.array_equal(traj.theta, np.zeros(g.n_steps))
+
+    def test_trajectory_arrays_must_match_the_grid(self):
+        g = SimGrid(dt=2e-8, duration=5e-5)
+        full, short = np.zeros(g.n_steps), np.zeros(g.n_steps - 1)
+        with pytest.raises(ParameterError, match="must all have grid.n_steps samples"):
+            Trajectory(g, full, full, full, short)
 
     def test_noise_free_constant_phase_convergence(self, ap_params):
         # first-order loop: |phihat(t) - c| <= |c| exp(-beta t (1 - beta dt))

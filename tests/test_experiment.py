@@ -22,7 +22,7 @@ from ouphase import (
     SimGrid,
     StatisticsError,
     apply_estimators,
-    compare_schemes,
+    compare,
     filtered_mse,
     improvement_ratios,
     optimal_beta,
@@ -137,6 +137,14 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="dual_homodyne scheme only"):
             make_config(dual_mode="arg")
         assert make_config(scheme="dual_homodyne", dual_mode="arg").dual_mode == "arg"
+
+    def test_unknown_dual_mode_rejected(self):
+        with pytest.raises(ParameterError, match="unknown dual_mode: 'bogus'"):
+            make_config(scheme="dual_homodyne", dual_mode="bogus")
+
+    def test_unknown_condition_mode_rejected(self):
+        with pytest.raises(ParameterError, match="unknown condition mode: 'bogus'"):
+            analytic_mse(make_config(), "bogus")
 
     def test_coarse_grid_rejected_at_construction(self):
         # chi*dt >= 0.5 for either rate fails when the config is built, not in a trial
@@ -412,18 +420,30 @@ class TestBlocks:
         assert all(i % block for i in cfg.window)
         assert blocking([make_config(estimator=EstimatorParams(**self.UNEQUAL))]) == (50000, 0)
 
-    @pytest.mark.parametrize("est_kwargs, kwargs", [
+    DETECTORS = pytest.mark.parametrize("est_kwargs, kwargs", [
         (dict(), dict()),
         (dict(source="phihat"), dict()),
         (dict(), dict(scheme="dual_homodyne")),
         (dict(), dict(scheme="dual_homodyne", dual_mode="arg")),
     ], ids=["theta", "phihat", "dual-linearized", "dual-arg"])
+
+    @DETECTORS
     def test_trial_matches_the_one_shot_reference(self, est_kwargs, kwargs):
         est = EstimatorParams(**self.UNEQUAL, **est_kwargs)
         cfg = make_config(seed=5, duration=MULTI_BLOCK, estimator=est, **kwargs)
         for trial in (0, 7):
             assert as_list(run_trial(cfg, trial)) == pytest.approx(
                 reference_trial(cfg, trial), rel=1e-15, abs=0)
+
+    @DETECTORS
+    def test_chunks_longer_than_a_block_match_the_one_shot_reference(self, est_kwargs, kwargs):
+        # einsum chunks of 2**18 samples outlast a block of 2**17: a chunk that a
+        # block boundary cuts is still short after the next whole block is joined
+        old = np.setbufsize(2 ** 18)
+        try:
+            self.test_trial_matches_the_one_shot_reference(est_kwargs, kwargs)
+        finally:
+            np.setbufsize(old)
 
     def test_shared_theta_configs_match_the_one_shot_reference(self):
         base = make_config(seed=5, duration=MULTI_BLOCK, scheme="dual_homodyne")
@@ -678,11 +698,14 @@ class TestSweep:
             sweep(cfg, "omega", [1e5, 2e5])
 
     def test_numeric_beta_rejected(self):
-        # the sweep sets beta from chi at every point: a fixed one would be dropped
-        for axis, values in (("chi", [2e5, 3e5]), ("flux", [1.35e6, 2.7e6])):
-            with pytest.raises(ParameterError, match=f"a {axis} sweep sets beta from chi at every "
+        # the sweeps and compare set beta from chi at every point: a fixed one would be dropped
+        cfg = make_config(duration=5e-4, beta=1.5e6)
+        for who, run in (("a chi sweep", lambda: sweep(cfg, "chi", [2e5, 3e5])),
+                         ("a flux sweep", lambda: sweep(cfg, "flux", [1.35e6, 2.7e6])),
+                         ("compare", lambda: compare(cfg))):
+            with pytest.raises(ParameterError, match=f"{who} sets beta from chi at every "
                                                      "point: beta must be 'auto', got 1500000.0"):
-                sweep(make_config(duration=5e-4, beta=1.5e6), axis, values)
+                run()
 
     def test_flux_without_interior_optimum_rejected(self):
         # at flux 1e3 both optima sit at chi -> 0: no estimator at chi = 0 is built
@@ -756,11 +779,9 @@ def record_draws(monkeypatch):
 
 
 def compare_configs(dual_mode):
-    """The adaptive and dual configs of ``ouphase compare``."""
-    chi_ap = 2 * math.sqrt(AP["kappa"] * AP["flux"])
-    chi_dh = 2 * math.sqrt(AP["kappa"] * AP["flux"] / 2)
-    return [make_config(duration=5e-4, chi=chi_ap),
-            make_config(duration=5e-4, chi=chi_dh, scheme="dual_homodyne", dual_mode=dual_mode)]
+    """The adaptive and dual configs of ``compare``, as its reports carry them."""
+    reports, _ = compare(make_config(duration=5e-4), dual_mode)
+    return [report.config for report in reports]
 
 
 class TestRunEnsembles:
@@ -826,8 +847,8 @@ class TestRunEnsembles:
                        "chi", [1e5, 2e5, 3e5, 4e5, 5e5]),
          (30, 60, 0)),
         (lambda: sweep(make_config(duration=5e-4), "flux", [1.35e6, 2.7e6]), (30, 30, 0)),
-        (lambda: run_ensembles(compare_configs("linearized")), (30, 60, 0)),
-        (lambda: run_ensembles(compare_configs("arg")), (30, 60, 0)),
+        (lambda: compare(make_config(duration=5e-4)), (30, 60, 0)),
+        (lambda: compare(make_config(duration=5e-4), "arg"), (30, 60, 0)),
     ], ids=["chi-sweep", "chi-sweep-phihat", "chi-sweep-arg", "flux-sweep", "compare",
             "compare-arg"])
     def test_draws_each_trial_index_once(self, run, draws, monkeypatch):
@@ -877,14 +898,9 @@ class TestRunEnsembles:
 
 class TestCompareSchemes:
     def test_gains_from_matched_reports(self):
-        chi_ap = 2 * math.sqrt(AP["kappa"] * AP["flux"])
-        chi_dh = 2 * math.sqrt(AP["kappa"] * AP["flux"] / 2)
-        rep_ap = run_ensemble(make_config(duration=1e-3, trials=40, chi=chi_ap, seed=3341),
-                              workers=WORKERS)
-        rep_dh = run_ensemble(
-            make_config(duration=1e-3, trials=40, chi=chi_dh, seed=3341, scheme="dual_homodyne"),
-            workers=WORKERS)
-        gains = compare_schemes(rep_ap, rep_dh)
+        (rep_ap, rep_dh), gains = compare(make_config(duration=1e-3, trials=40, seed=3341),
+                                          workers=WORKERS)
+        assert (rep_ap.config.scheme, rep_dh.config.scheme) == ("adaptive", "dual_homodyne")
         assert gains.smoothing_gain == pytest.approx(
             rep_ap.condition("filtered").mc_mse / rep_ap.condition("smoothed").mc_mse, rel=1e-12)
         assert gains.adaptive_gain > 1.2
@@ -892,8 +908,3 @@ class TestCompareSchemes:
         for err in (gains.smoothing_gain_stderr, gains.adaptive_gain_stderr,
                     gains.total_gain_stderr):
             assert err > 0
-
-    def test_unmatched_reports_rejected(self):
-        rep_ap = run_ensemble(make_config(duration=5e-4, trials=30), workers=WORKERS)
-        with pytest.raises(ParameterError, match="adaptive and a dual_homodyne"):
-            compare_schemes(rep_ap, rep_ap)

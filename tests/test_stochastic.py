@@ -92,6 +92,7 @@ class TestProcessParams:
         dict(kappa=1.0, lam=-1e-3, flux=1e6),
         dict(kappa=1.0, lam=1.0, flux=0.0),
         dict(kappa=float("nan"), lam=1.0, flux=1e6),
+        dict(kappa=10**400, lam=1.0, flux=1e6),  # beyond the float range
         dict(kappa=True, lam=1.0, flux=1e6),
         dict(kappa=1.0, lam=1.0, flux="1e6"),
     ])
