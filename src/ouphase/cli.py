@@ -96,7 +96,7 @@ def _parse_value(key: str, raw: str):
 
 def _read_config_file(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is allowed
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

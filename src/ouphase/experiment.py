@@ -187,14 +187,14 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
 
     The trial runs in blocks (``blocking``), so its memory does not grow
     with its length; a trial of one block is the case with no lookahead. Each
-    recursion carries its state from block to block; only the backward
-    averages of a block that is not the last one see a finite lookahead. phi
-    and the theta of the run at hand are the rows of one array that lives for
-    the trial, and each run keeps only its theta over the lookahead for the
-    next block.
+    recursion carries its state from block to block, each config's in its
+    ``_ConfigTrial``; only the backward averages of a block that is not the
+    last one see a finite lookahead. phi and the theta of the run at hand are
+    the rows of one array that lives for the trial, and each run keeps only
+    its theta over the lookahead for the next block.
 
     The trial is the one reader of each noise stream: it draws each once per
-    block by one generator (``_DrawAhead``), and every run that reads a
+    block by one generator (``_StreamAhead``), and every run that reads a
     stream reads that draw without writing it; a stream's increments are
     freed after the last run that reads them. With a CPU free for it (the
     CPU count is at least twice the number of processes running trials), a
@@ -210,18 +210,15 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     block, lookahead = blocking(configs)
     phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
-    # the runs of consecutive configs with one theta key, as (index, config) pairs
-    runs = [list(run) for _, run in itertools.groupby(enumerate(configs),
-                                                      key=lambda pair: _THETA_KEY(pair[1]))]
+    trials = [_ConfigTrial(config) for config in configs]
+    # the runs of consecutive configs with one theta key
+    runs = [list(run) for _, run in itertools.groupby(trials, key=lambda t: _THETA_KEY(t.config))]
     # each run's theta model and the measurement streams it reads (in the model's
     # argument order), and the last run that reads each stream
     models = [(arg_theta, (meas1, meas2)) if c.dual_mode == "arg" else
               (linearized_theta, (meas1 if c.scheme == "adaptive" else meas2,))
-              for c in (run[0][1] for run in runs)]
+              for c in (run[0].config for run in runs)]
     last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
-    forward_start = [None] * len(configs)  # the forward average at the sample before the block
-    loop_start = [0.0] * len(configs)      # phihat at the block's first sample
-    moments = [_WindowMoments() for _ in configs]
 
     streams = [phase, *last]
     # phi (row 0) and the theta of the run at hand (row 1) over a block and its
@@ -232,8 +229,12 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     held = np.empty((2 + (len(streams) if lookahead else 0), block + lookahead))
     phi, theta = held[0], held[1]
     theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-    helper = lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes
-    with _DrawAhead(streams, _draw_lengths(n, block, lookahead), held[2:], helper) as noise:
+    lengths = _draw_lengths(n, block, lookahead)
+    helper = (ThreadPoolExecutor(max_workers=1)
+              if lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes else None)
+    try:
+        noise = {stream: _StreamAhead(stream, helper, lengths, buffer)
+                 for stream, buffer in itertools.zip_longest(streams, held[2:])}
         ahead = 0
         for s in range(0, n, block):
             e = min(s + block, n)
@@ -242,59 +243,34 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
             phi[:drawn] = phi[block:block + drawn]  # moves to the front
             new = slice(drawn, size)
             if size > drawn:
-                phi[new] = simulate_ou(params, grid, phase, init, noise.streams[phase],
-                                       size - drawn, None if s == 0 else float(phi[drawn - 1]))
-                noise.streams[phase].done()
+                phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
+                                       None if s == 0 else float(phi[drawn - 1]))
+                noise[phase].done()
             dW = {}  # each measurement stream's increments over the block's new samples
             for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
                 theta[:drawn] = kept[:drawn]
                 if size > drawn:
                     for stream in read:
                         if stream not in dW:
-                            dW[stream] = wiener_increments(stream, size - drawn, dt,
-                                                           noise.streams[stream])
-                    theta[new] = model(phi[new], *map(dW.get, read), run[0][1].n_eff, dt)
+                            dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
+                    theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
                     for stream in read:
                         if last[stream] == i:  # freed before the estimators run
                             del dW[stream]
-                            noise.streams[stream].done()
+                            noise[stream].done()
                 kept[:ahead] = theta[e - s:size]
-                for k, config in run:
-                    source = theta[:size]
-                    if config.estimator.source == "phihat":
-                        source = feedback_estimate(source, config.loop, dt, loop_start[k])
-                        loop_start[k] = float(source[e - s]) if ahead else None
-                    f, b = apply_estimators(source, config.estimator, grid, forward_start[k],
-                                            ahead)
-                    forward_start[k] = float(f[-1])
-                    i0, i1 = config.window
-                    lo, hi = max(i0, s) - s, min(i1, e) - s
-                    if lo < hi:
-                        f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
-                        with np.errstate(over="ignore", invalid="ignore"):
-                            f -= truth
-                            b -= truth
-                            moments[k].add(f, b, last=hi == i1 - s)
-                    # freed before the next theta or config's arrays are built
-                    f = b = source = None
-
-    results = []
-    for config, sums in zip(configs, moments):
-        i0, i1 = config.window
-        ff, bb, fb = (total / (i1 - i0) for total in sums.sums)
-        wm, wp = config.estimator.w_minus, config.estimator.w_plus
-        mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
-                "backward": bb}
-        for mode, value in mses.items():
-            if not math.isfinite(value):
-                raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
-        results.append(TrialResult(mses["filtered"], mses["smoothed"], mses["backward"]))
-    return results
+                for trial in run:
+                    trial.block(theta[:size], phi, s, e, ahead)
+    finally:
+        if helper:
+            helper.shutdown(wait=True, cancel_futures=True)
+    return [trial.result(trial_index) for trial in trials]
 
 
-class _WindowMoments:
-    """ff, bb and fb, the sums of products of one config's forward and backward
-    errors over the window, fed block by block.
+class _ConfigTrial:
+    """One config's part of a trial, fed block by block: the starts its
+    recursions carry across blocks, and ff, bb and fb, the sums of products
+    of its forward and backward errors over the window.
 
     One einsum over a window adds the sums of its consecutive chunks of
     np.getbufsize() samples in turn. The blocks are summed chunk for chunk in
@@ -302,12 +278,44 @@ class _WindowMoments:
     out in memory as in one piece, so the sums do not depend on the blocks.
     """
 
-    def __init__(self):
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.forward_start = None  # the forward average at the sample before the block
+        self.loop_start = 0.0      # phihat at the block's first sample
         self.sums = [0.0, 0.0, 0.0]
         self.started = False
         self.cut = None  # the errors of the chunk the last block boundary cut
 
-    def add(self, f, b, last: bool):
+    def block(self, source: np.ndarray, phi: np.ndarray, s: int, e: int, ahead: int):
+        """Samples s to e, and ``ahead`` more of lookahead: ``source`` is theta
+        over them and phi the phase from s. Its arrays are freed on return."""
+        config = self.config
+        if config.estimator.source == "phihat":
+            source = feedback_estimate(source, config.loop, config.grid.dt, self.loop_start)
+            self.loop_start = float(source[e - s]) if ahead else None
+        f, b = apply_estimators(source, config.estimator, config.grid, self.forward_start, ahead)
+        self.forward_start = float(f[-1])
+        i0, i1 = config.window
+        lo, hi = max(i0, s) - s, min(i1, e) - s
+        if lo < hi:
+            f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):
+                f -= truth
+                b -= truth
+                self._moments(f, b, last=hi == i1 - s)
+
+    def result(self, trial_index: int) -> TrialResult:
+        i0, i1 = self.config.window
+        ff, bb, fb = (total / (i1 - i0) for total in self.sums)
+        wm, wp = self.config.estimator.w_minus, self.config.estimator.w_plus
+        mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
+                "backward": bb}
+        for mode, value in mses.items():
+            if not math.isfinite(value):
+                raise StatisticsError(f"non-finite {mode} MSE in trial {trial_index}")
+        return TrialResult(mses["filtered"], mses["smoothed"], mses["backward"])
+
+    def _moments(self, f, b, last: bool):
         """The errors of the window's next samples; ``last`` if they end it."""
         if last and not self.started:
             self._add(f, b)  # the whole window: one einsum, as in one block
@@ -362,41 +370,18 @@ def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
     return [end - start for start, end in zip([0, *ends], ends) if end > start]
 
 
-class _DrawAhead:
-    """The noise of a trial: a generator for each of ``streams``, drawn once
-    per block (``lengths``, each block's draw length) for the trial, its one
-    reader.
-
-    The attribute ``streams`` maps each to its ``_StreamAhead``, which stands
-    in for its generator. Each stream draws into its row of ``buffers``, or, with
-    no rows (a trial of one block), into a new array. With ``helper``, one
-    helper thread draws a stream's next block once the trial is done with
-    the last, by the raw ``Generator.standard_normal``, which releases the
-    GIL and which a tracer of ``NoiseStream.normals`` does not see; otherwise
-    the trial's thread draws it when the trial reads it. Entering the context
-    starts each stream's first draw; leaving it cancels pending draws and
-    joins the thread.
-    """
-
-    def __init__(self, streams: list[NoiseStream], lengths: list[int], buffers: np.ndarray,
-                 helper: bool):
-        self._helper = ThreadPoolExecutor(max_workers=1) if helper else None
-        self.streams = {stream: _StreamAhead(stream, self._helper, lengths, buffer)
-                        for stream, buffer in itertools.zip_longest(streams, buffers)}
-
-    def __enter__(self):
-        for ahead in self.streams.values():
-            ahead.done()
-        return self
-
-    def __exit__(self, *exc):
-        if self._helper:
-            self._helper.shutdown(wait=True, cancel_futures=True)
-
-
 class _StreamAhead:
-    """One stream of a ``_DrawAhead``: ``standard_normal(n)`` is the block's
-    draw, and ``done()``, once the trial is done with it, starts the next."""
+    """One noise stream of a trial, its one reader, drawn once per block
+    (``lengths``, each block's draw length): ``standard_normal(n)`` is the
+    block's draw, and ``done()``, once the trial is done with it, starts the
+    next. The first draw starts when this is built.
+
+    Each draw goes to ``buffer``, or, with none (a trial of one block), to a
+    new array. With a ``helper``, its one thread draws the next block while
+    the trial runs the block at hand, by the raw ``Generator.standard_normal``,
+    which releases the GIL and which a tracer of ``NoiseStream.normals`` does
+    not see; otherwise the trial's thread draws it when the trial reads it.
+    """
 
     def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor | None,
                  lengths: list[int], buffer: np.ndarray | None):
@@ -404,6 +389,7 @@ class _StreamAhead:
         self._helper = helper
         self._lengths = iter(lengths)
         self._buffer = buffer
+        self.done()
 
     def standard_normal(self, n: int) -> np.ndarray:
         drawn = self._next()

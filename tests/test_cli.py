@@ -280,6 +280,11 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="trials"):
             load_config(str(path))
 
+    def test_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfkappa = 2e4\n")
+        assert load_config(str(path)).params.kappa == 2e4
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\nkappa = 2e4  # inline\n")

@@ -569,22 +569,35 @@ class TestDrawAhead:
         assert threading.active_count() == before
         assert len(during) == 3 and set(during) == {before + 1}
 
-    def test_helper_thread_ends_when_a_block_fails(self, cpus, monkeypatch):
+    # the blocks whose estimators run before the failure: none when a
+    # measurement stream's generator fails, after the phase stream's first draw
+    # went to the helper thread
+    @pytest.mark.parametrize("failure, blocks", [("second block", 2), ("first block", 1),
+                                                 ("measurement generator", 0)],
+                             ids=["second-block", "first-block", "measurement-generator"])
+    def test_helper_thread_ends_when_a_block_fails(self, failure, blocks, cpus, monkeypatch):
         cpus(2)
-        apply, during = ouphase.experiment.apply_estimators, []
+        apply, make, during = ouphase.experiment.apply_estimators, NoiseStream.generator, []
 
-        def fails_in_the_second_block(*args, **kwargs):
+        def fails_in_a_block(*args, **kwargs):
             during.append(threading.active_count())
-            if len(during) == 2:
-                raise RuntimeError("second block")
+            if len(during) == blocks:
+                raise RuntimeError(failure)
             return apply(*args, **kwargs)
 
-        monkeypatch.setattr(ouphase.experiment, "apply_estimators", fails_in_the_second_block)
+        def fails_for_measurement_noise(stream):
+            if stream.role == Role.MEASUREMENT_NOISE:
+                raise RuntimeError(failure)
+            return make(stream)
+
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", fails_in_a_block)
+        if not blocks:
+            monkeypatch.setattr(NoiseStream, "generator", fails_for_measurement_noise)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second block"):
+        with pytest.raises(RuntimeError, match=failure):
             run_trial(make_config(duration=MULTI_BLOCK), 0)
         assert threading.active_count() == before
-        assert during == [before + 1] * 2
+        assert during == [before + 1] * blocks
 
     def test_no_helper_without_a_free_cpu(self, cpus, monkeypatch):
         cfg = make_config(duration=MULTI_BLOCK)
@@ -809,14 +822,16 @@ class TestRunEnsembles:
             for cell in report.conditions + (report.backward,):
                 assert cell.analytic_mse == analytic_mse(report.config, cell.mode)
 
-    def test_trials_equal_run_trial_across_changes_of_input(self):
-        # theta reused, rebuilt for a new N', and interrupted by per-config inputs
-        base = make_config(seed=5)
-        dual = dict(scheme="dual_homodyne")
+    @pytest.mark.parametrize("duration", [1e-3, MULTI_BLOCK], ids=["one-block", "multi-block"])
+    def test_trials_equal_run_trial_across_changes_of_input(self, duration):
+        # theta reused, rebuilt for a new N', and interrupted by per-config inputs;
+        # over more blocks, each config carries its own starts across their boundaries
+        base = make_config(seed=5, duration=duration)
+        dual = dict(seed=5, duration=duration, scheme="dual_homodyne")
         configs = [*with_chi(base, 2e5, 3e5), replace(base, estimator=PHIHAT),
-                   make_config(seed=5, chi=2e5, **dual), make_config(seed=5, dual_mode="arg", **dual),
-                   make_config(seed=5, chi=2.5e5, dual_mode="arg", **dual),
-                   make_config(seed=5, chi=2.5e5, **dual), *with_chi(base, 4e5),
+                   make_config(chi=2e5, **dual), make_config(dual_mode="arg", **dual),
+                   make_config(chi=2.5e5, dual_mode="arg", **dual),
+                   make_config(chi=2.5e5, **dual), *with_chi(base, 4e5),
                    replace(base, params=ProcessParams(**{**AP, "flux": 2.7e6}))]
         for trial in (0, 7):
             assert run_trials(configs, trial) == [run_trial(c, trial) for c in configs]
