@@ -10,8 +10,10 @@ of memory, a broken worker pool).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
@@ -245,6 +247,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _check_destination(destination: str):
+    """Fails as ``_write`` would if the directory of ``destination`` is
+    missing, so that a typo in --out costs no run; creates no file."""
+    if not os.path.isdir(os.path.dirname(destination) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), destination)
+
+
 def _write(destination: str, text: str):
     """The writer of every --out file: UTF-8 text with LF line ends."""
     with open(destination, "w", encoding="utf-8", newline="\n") as fh:
@@ -418,6 +427,8 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:
+            _check_destination(args.out)
         return args.handler(args)
     except ParameterError as exc:
         print(f"ouphase: error: {exc}", file=sys.stderr)

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError, ParameterError, check_real, check_real_fields
-from .stochastic import NoiseStream, ProcessParams, SimGrid, wiener_increments
+from .stochastic import NoiseStream, ProcessParams, SimGrid, _first_order, wiener_increments
 
 __all__ = [
     "FeedbackParams",
@@ -113,7 +112,7 @@ def feedback_estimate(theta, fb: FeedbackParams, dt: float, start: float = 0.0) 
     """
     fb.check_step(dt)
     a = 1.0 - (fb.omega0 + fb.beta) * dt
-    return lfilter([0.0, fb.beta * dt], [1.0, -a], theta, zi=[start])[0]
+    return _first_order([0.0, fb.beta * dt], a, theta, start)
 
 
 def run_adaptive_loop(

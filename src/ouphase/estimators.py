@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError, ParameterError, StatisticsError
 from .errors import check_real, check_real_fields
-from .stochastic import SimGrid
+from .stochastic import SimGrid, _first_order
 
 __all__ = [
     "EstimatorParams",
@@ -103,7 +102,7 @@ def causal_exponential_average(series, chi: float, dt: float,
     if x.size == 0:
         return x.copy()
     a = math.exp(-chi * dt)
-    return lfilter([1.0 - a], [1.0, -a], x, zi=[a * (x[0] if start is None else start)])[0]
+    return _first_order([1.0 - a], a, x, a * (x[0] if start is None else start))
 
 
 def anticausal_exponential_average(series, chi: float, dt: float) -> np.ndarray:

@@ -9,13 +9,16 @@ never depend on execution order or thread scheduling.
 from __future__ import annotations
 
 import enum
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from numpy.random import Generator, Philox
-from scipy.signal import lfilter
 
 from .errors import ParameterError, check_index, check_real, check_real_fields
 
@@ -31,6 +34,42 @@ __all__ = [
 SEED_BITS = 64
 TRIAL_BITS = 61  # trial_index*8 + role must fit in the uint64 Philox key word
 MAX_STEPS = sys.maxsize // 8  # the longest float64 array numpy can address
+
+
+def _load_linear_filter():
+    """scipy's compiled direct-form II filter, the C loop that
+    ``scipy.signal.lfilter`` runs for a denominator of two or more terms.
+
+    It is loaded from its extension module alone: importing ``scipy.signal``
+    would also import ``scipy.stats`` and ``scipy.interpolate``, about 0.5 s
+    of every process's start-up.
+    """
+    signal = os.path.join(os.path.dirname(scipy.__file__), "signal")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.signal._sigtools", [signal])
+    kernel = None
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        kernel = getattr(module, "_linear_filter", None)
+    if kernel is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled first-order filter "
+                          "scipy.signal._sigtools._linear_filter")
+    return kernel
+
+
+_linear_filter = _load_linear_filter()
+
+
+def _first_order(b, decay: float, x, state: float) -> np.ndarray:
+    """``lfilter(b, [1.0, -decay], x, zi=[state])[0]``, bit for bit: the same
+    compiled loop on the same arguments, which releases the interpreter lock.
+
+    With ``b = [g]`` it is ``y[k] = decay*y[k-1] + g*x[k]`` with
+    ``decay*y[-1] = state``; with the delayed ``b = [0, g]`` it is
+    ``y[k] = decay*y[k-1] + g*x[k-1]`` from ``y[0] = state``.
+    """
+    return _linear_filter(np.atleast_1d(b), np.array([1.0, -decay]), np.asarray(x), -1,
+                          np.array([state]))[0]
 
 
 class Role(enum.IntEnum):
@@ -188,5 +227,5 @@ def simulate_ou(
         state = math.sqrt(params.stationary_variance) * x[0] if stationary else init
         x[0] = 0.0  # phi[0] comes in through the filter state; the gain scales the rest
     else:
-        state = decay * last  # bit for bit the state lfilter carries out of the block before
-    return lfilter([step_sd], [1.0, -decay], x, zi=[state])[0]
+        state = decay * last  # bit for bit the state the filter carries out of the block before
+    return _first_order([step_sd], decay, x, state)

@@ -1,7 +1,11 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -349,6 +353,18 @@ class TestExitCodes:
         assert code == 1
         assert "i/o" in err
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-chi"], ["sweep-flux"],
+                                         ["compare"]], ids=lambda c: c[0])
+    def test_missing_destination_directory_is_one_before_any_trial(self, command, tmp_path,
+                                                                   capsys, monkeypatch):
+        calls = count_draws(monkeypatch)
+        dest = tmp_path / "missing_dir" / "out.json"
+        code, out, err = run([*command, *FAST, "--out", str(dest)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"ouphase: i/o error: [Errno 2] No such file or directory: '{dest}'\n"
+        assert calls == {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
+        assert not (tmp_path / "missing_dir").exists()
+
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_bad_workers_is_one(self, workers, capsys):
         code, _, err = run(["simulate", *FAST, "--workers", workers], capsys)
@@ -675,3 +691,15 @@ def test_every_row_z_within_three(argv, tmp_path, capsys):
     assert code == 0, err
     z = [row["z_score"] for row in json.loads(dest.read_text())["results"]]
     assert z and all(abs(v) <= 3 for v in z), z
+
+
+def test_start_up_imports_no_scipy_signal():
+    # scipy.signal would cost about 0.5 s of every process's start-up: the
+    # package runs its first-order recursions on the compiled kernel alone
+    script = ("import sys, ouphase.cli\n"
+              "assert ouphase.cli.dispatch(['analytic']) == 0\n"
+              "print('scipy.signal' in sys.modules, file=sys.stderr)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stderr == "False\n"

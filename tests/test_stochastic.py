@@ -1,11 +1,13 @@
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.stats import chi2
 
+import ouphase.stochastic
 from ouphase import (
     NoiseStream,
     ParameterError,
@@ -278,3 +280,50 @@ class TestSimulateOu:
         phi = simulate_ou(ap_params, g, SilentStream(master_seed=11), init=0.25)
         t = np.arange(g.n_steps) * g.dt
         assert np.allclose(phi, 0.25 * np.exp(-ap_params.lam * t), rtol=1e-9)
+
+
+def _filter_inputs():
+    x = np.random.default_rng(5).standard_normal(64)
+    with_nan = x.copy()
+    with_nan[17] = np.nan
+    return {
+        "contiguous": x,
+        "reversed": x[::-1],  # the anticausal average's view
+        "strided": x[3::5],
+        "list": x[:9].tolist(),
+        "int": np.arange(-20, 20),
+        "empty": np.empty(0),
+        "nan": with_nan,
+    }
+
+
+COEFFICIENTS = pytest.mark.parametrize("b", [[0.37], [0.0, 0.37]], ids=["gain", "delayed"])
+
+
+class TestFirstOrderKernel:
+    """``_first_order`` is ``lfilter`` on the same compiled loop: every bit,
+    every dtype and every error the same, for both coefficient shapes."""
+
+    @COEFFICIENTS
+    @pytest.mark.parametrize("name", list(_filter_inputs()))
+    def test_matches_lfilter_bit_for_bit(self, b, name):
+        x = _filter_inputs()[name]
+        expected = lfilter(b, [1.0, -0.9871], x, zi=[-0.42])[0]
+        got = ouphase.stochastic._first_order(b, 0.9871, x, -0.42)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @COEFFICIENTS
+    def test_refuses_a_2d_array_as_lfilter_does(self, b):
+        x = np.ones((8, 8))
+        with pytest.raises(ValueError) as expected:
+            lfilter(b, [1.0, -0.9871], x, zi=[-0.42])
+        with pytest.raises(ValueError) as got:
+            ouphase.stochastic._first_order(b, 0.9871, x, -0.42)
+        assert str(got.value) == str(expected.value)
+
+    def test_missing_kernel_names_the_scipy_version(self, tmp_path, monkeypatch):
+        empty = types.SimpleNamespace(__file__=str(tmp_path / "__init__.py"), __version__="0.0.1")
+        monkeypatch.setattr(ouphase.stochastic, "scipy", empty)
+        with pytest.raises(ImportError, match="scipy 0.0.1 "):
+            ouphase.stochastic._load_linear_filter()
