@@ -4,7 +4,7 @@ Results go to stdout as a human table and, with --out, to CSV or a JSON run
 manifest. Output files contain no wall-clock data, so a fixed seed yields
 byte-identical files across runs and worker counts. Exit codes: 0 success,
 1 parameter/configuration error, 2 statistics error, 3 resource error (out
-of memory, a broken worker pool).
+of memory, a broken worker pool), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -442,6 +442,9 @@ def dispatch(argv) -> int:
     except (MemoryError, BrokenProcessPool) as exc:
         print(f"ouphase: resource error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("ouphase: interrupted", file=sys.stderr)
+        return 130
 
 
 def main():

@@ -25,7 +25,7 @@ from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench
 from .errors import ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
-from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
+from .stochastic import SEED_BITS, TRIAL_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
 
 __all__ = [
@@ -60,7 +60,8 @@ class ExperimentConfig:
     may also be "auto" (that same gain) or a positive number, both for the
     adaptive scheme only. ``omega0`` is >= 0, and below beta for the adaptive
     scheme. ``dual_mode``, the dual detector's model, is "linearized" or (dual
-    scheme only) "arg".
+    scheme only) "arg". ``trials`` is at most 2**TRIAL_BITS, the trial indices
+    the noise streams key.
 
     What every trial needs is derived when the config is built (``replace``
     derives it again) and kept in read-only attributes that are not init
@@ -88,6 +89,9 @@ class ExperimentConfig:
         flux = analytics.effective_flux(self.params, self.scheme)  # checks the scheme
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
+        if self.trials > 2**TRIAL_BITS:
+            raise ParameterError(f"trials must be at most 2**{TRIAL_BITS}: "
+                                 "the noise streams key no higher trial index")
         check_index("master_seed", self.master_seed, SEED_BITS)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
@@ -103,10 +107,17 @@ class ExperimentConfig:
             _check_rate(chi, dt)
         loop = None
         if self.scheme == "adaptive":
-            beta = self.beta
-            if beta in ("auto", None):
-                beta = analytics.optimal_beta(max(est.chi_minus, est.chi_plus), self.params.flux)
-            loop = FeedbackParams(beta=beta, omega0=self.omega0)  # checks beta and omega0
+            beta, auto = self.beta, self.beta in ("auto", None)
+            if auto:
+                chi = max(est.chi_minus, est.chi_plus)
+                beta = analytics.optimal_beta(chi, self.params.flux)
+            try:
+                loop = FeedbackParams(beta=beta, omega0=self.omega0)  # checks beta and omega0
+            except ParameterError as exc:
+                if not auto:
+                    raise
+                raise ParameterError(f"{exc}; the automatic beta is sqrt(8*chi*N) = {beta:.6g} "
+                                     f"at chi = {chi:.6g}, N = {self.params.flux:.6g}") from None
             loop.check_step(dt)
             object.__setattr__(self, "omega0", loop.omega0)  # the checked float
         else:
@@ -157,19 +168,20 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
 
 def _check_shared(configs) -> list[ExperimentConfig]:
-    """``configs`` as a list, if it is not empty and its configs can share trials."""
+    """``configs`` as a list, if it is not empty and its configs can share
+    trials: they agree in what a trial's draws depend on."""
     configs = list(configs)
-    shared = {(c.params.kappa, c.params.lam, c.grid, c.trials, c.master_seed) for c in configs}
+    shared = {(c.params.kappa, c.params.lam, c.grid, c.master_seed) for c in configs}
     if len(shared) != 1:
         raise ParameterError("need one or more configs that agree in kappa, lambda, "
-                             "grid, trials and seed")
+                             "grid and seed")
     return configs
 
 
 def run_trials(configs, trial_index: int) -> list[TrialResult]:
     """One trial index under configs that share its draws (they must agree in
-    kappa, lambda, grid, trials and seed); result ``k`` is configs[k]'s three
-    MSE samples.
+    kappa, lambda, grid and seed; ``trials`` is not read); result ``k`` is
+    configs[k]'s three MSE samples.
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. phi is drawn
@@ -464,21 +476,26 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     """One VarianceReport per config, from one pass over the trial indices that
     the configs share (``run_trials``): common random numbers across them.
 
+    The configs may differ in ``trials``: trial index i runs under the configs
+    with more than i trials, and each report folds its own config's first
+    ``trials`` indices, so it equals ``run_ensemble`` of that config.
+
     ``workers > 1`` maps the trial indices over one process pool of
-    min(workers, ceil(trials / 8), CPU count) processes; results are
+    min(workers, ceil(max trials / 8), CPU count) processes; results are
     identical to a serial run because aggregation folds in trial-index order.
     A worker draws ahead on a helper thread only if the CPU count is at least
-    twice the pool's size (``run_trials``). Each config's theory is computed,
-    and so checked, before any trial runs.
+    twice the pool's size (``run_trials``). Each config's theory and trial
+    count are checked before any trial runs.
     """
     configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     theories = [{mode: analytics.analytic_mse(config, mode)
                  for mode in ("filtered", "smoothed", "backward")} for config in configs]
-    trials = configs[0].trials
-    if trials < MIN_TRIALS_FOR_STDERR:
-        raise StatisticsError(f"{trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
+    fewest = min(config.trials for config in configs)
+    if fewest < MIN_TRIALS_FOR_STDERR:
+        raise StatisticsError(f"{fewest} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
+    trials = max(config.trials for config in configs)
     task = partial(_run_index, configs)
     if workers > 1:
         # a fork pool starts all its processes at once: no more than can get work
@@ -488,7 +505,8 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
             rows = list(pool.map(task, range(trials), chunksize=TRIAL_CHUNK))
     else:
         rows = [task(i) for i in range(trials)]
-    return [_report(*report) for report in zip(configs, zip(*rows), theories)]
+    return [_report(config, results[:config.trials], theory)
+            for config, results, theory in zip(configs, zip(*rows), theories)]
 
 
 def _share_cpus(processes: int) -> None:
@@ -497,11 +515,14 @@ def _share_cpus(processes: int) -> None:
     _processes = processes
 
 
-def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialResult]:
+def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialResult | None]:
+    """Trial ``trial_index`` under the configs with more trials than that;
+    None in the place of each other config."""
+    run = [config for config in configs if config.trials > trial_index]
     # one config calls run_trial by its global name, which bench/tracer.py wraps
-    if len(configs) == 1:
-        return [run_trial(configs[0], trial_index)]
-    return run_trials(configs, trial_index)
+    results = iter([run_trial(run[0], trial_index)] if len(run) == 1 else
+                   run_trials(run, trial_index))
+    return [next(results) if config.trials > trial_index else None for config in configs]
 
 
 def _report(config: ExperimentConfig, results, theory: dict[str, float]) -> VarianceReport:

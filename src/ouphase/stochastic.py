@@ -42,7 +42,9 @@ def _load_linear_filter():
 
     It is loaded from its extension module alone: importing ``scipy.signal``
     would also import ``scipy.stats`` and ``scipy.interpolate``, about 0.5 s
-    of every process's start-up.
+    of every process's start-up. As the symbol is private, the kernel must
+    first run both recursions of ``_first_order`` right on a few dyadic
+    samples, where every order of operations is exact.
     """
     signal = os.path.join(os.path.dirname(scipy.__file__), "signal")
     spec = importlib.machinery.PathFinder.find_spec("scipy.signal._sigtools", [signal])
@@ -54,22 +56,36 @@ def _load_linear_filter():
     if kernel is None:
         raise ImportError(f"scipy {scipy.__version__} has no compiled first-order filter "
                           "scipy.signal._sigtools._linear_filter")
+    x, g, decay, state = [1.0, -0.5, 0.25, 2.0], 1.5, 0.5, 0.75
+    gain, delayed = [state + g * x[0]], [state]  # the plain recursions
+    for k in range(1, len(x)):
+        gain.append(decay * gain[-1] + g * x[k])
+        delayed.append(decay * delayed[-1] + g * x[k - 1])
+    try:
+        ok = all(_first_order(b, decay, x, state, kernel).tolist() == y
+                 for b, y in (([g], gain), ([0.0, g], delayed)))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ImportError(f"scipy {scipy.__version__}: scipy.signal._sigtools._linear_filter "
+                          "does not run the first-order recursion as expected")
     return kernel
 
 
-_linear_filter = _load_linear_filter()
-
-
-def _first_order(b, decay: float, x, state: float) -> np.ndarray:
+def _first_order(b, decay: float, x, state: float, kernel=None) -> np.ndarray:
     """``lfilter(b, [1.0, -decay], x, zi=[state])[0]``, bit for bit: the same
     compiled loop on the same arguments, which releases the interpreter lock.
 
     With ``b = [g]`` it is ``y[k] = decay*y[k-1] + g*x[k]`` with
     ``decay*y[-1] = state``; with the delayed ``b = [0, g]`` it is
-    ``y[k] = decay*y[k-1] + g*x[k-1]`` from ``y[0] = state``.
+    ``y[k] = decay*y[k-1] + g*x[k-1]`` from ``y[0] = state``. ``kernel``
+    stands in for the loaded one, as when it is checked.
     """
-    return _linear_filter(np.atleast_1d(b), np.array([1.0, -decay]), np.asarray(x), -1,
-                          np.array([state]))[0]
+    return (kernel or _linear_filter)(np.atleast_1d(b), np.array([1.0, -decay]), np.asarray(x),
+                                      -1, np.array([state]))[0]
+
+
+_linear_filter = _load_linear_filter()
 
 
 class Role(enum.IntEnum):

@@ -60,36 +60,44 @@ def criterion(number, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def ap_report():
-    config = ExperimentConfig(
-        params=AP_PARAMS,
-        grid=SimGrid(dt=5e-9, duration=1e-2),
-        estimator=EstimatorParams(CHI_OP, CHI_OP, source="theta"),
-        beta="auto",
-        omega0=1e2,
-        trials=200,
-        master_seed=SEED,
-    )
+def fine_reports():
+    """The three ensembles on the fine grid, from one pass over shared trials:
+    the adaptive operating point (200 trials), criterion 7's asymmetric
+    combination (120) and the dual scheme (120). The two adaptive configs are
+    neighbours, so they share theta as well as phi."""
+    grid = SimGrid(dt=5e-9, duration=1e-2)
+    configs = [
+        ExperimentConfig(params=AP_PARAMS, grid=grid,
+                         estimator=EstimatorParams(CHI_OP, CHI_OP, source="theta"),
+                         beta="auto", omega0=1e2, trials=200, master_seed=SEED),
+        ExperimentConfig(params=AP_PARAMS, grid=grid,
+                         estimator=EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7),
+                         beta="auto", trials=120, master_seed=SEED),
+        ExperimentConfig(params=AP_PARAMS, grid=grid,
+                         estimator=EstimatorParams(CHI_OP, CHI_OP),
+                         scheme="dual_homodyne", beta=None, trials=120, master_seed=SEED),
+    ]
     start = time.perf_counter()
-    report = run_ensemble(config, workers=WORKERS)
-    report_elapsed = time.perf_counter() - start
-    print(f"(adaptive ensemble: 200 x 10 ms trials in {report_elapsed:.0f} s "
+    reports = run_ensembles(configs, workers=WORKERS)
+    elapsed = time.perf_counter() - start
+    print(f"(fine-grid ensembles: 200, 120 and 120 x 10 ms trials in {elapsed:.0f} s "
           f"with {WORKERS} workers)")
-    return report
+    return reports
 
 
 @pytest.fixture(scope="module")
-def dual_report():
-    config = ExperimentConfig(
-        params=AP_PARAMS,
-        grid=SimGrid(dt=5e-9, duration=1e-2),
-        estimator=EstimatorParams(CHI_OP, CHI_OP),
-        scheme="dual_homodyne",
-        beta=None,
-        trials=120,
-        master_seed=SEED,
-    )
-    return run_ensemble(config, workers=WORKERS)
+def ap_report(fine_reports):
+    return fine_reports[0]
+
+
+@pytest.fixture(scope="module")
+def cross_term_report(fine_reports):
+    return fine_reports[1]
+
+
+@pytest.fixture(scope="module")
+def dual_report(fine_reports):
+    return fine_reports[2]
 
 
 @pytest.fixture(scope="module")
@@ -184,17 +192,8 @@ def test_criterion_06_headline_two_root_two(pure_diffusion_reports):
               f"({100 * (ratio / target - 1):+.2f}%)")
 
 
-def test_criterion_07_cross_term_validation():
-    config = ExperimentConfig(
-        params=AP_PARAMS,
-        grid=SimGrid(dt=5e-9, duration=1e-2),
-        estimator=EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7),
-        beta="auto",
-        trials=120,
-        master_seed=SEED,
-    )
-    report = run_ensemble(config, workers=WORKERS)
-    cond = report.condition("smoothed")
+def test_criterion_07_cross_term_validation(cross_term_report):
+    cond = cross_term_report.condition("smoothed")
     assert cond.analytic_mse == pytest.approx(COMBINED_ASYM_TARGET, rel=1e-12)
     criterion(7, abs(cond.z_score) <= 3.0,
               f"asymmetric combined mc={cond.mc_mse:.6f} +- {cond.mc_stderr:.6f} vs "

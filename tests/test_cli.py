@@ -114,6 +114,14 @@ class TestAnalytic:
             assert message in err
             assert out == ""
 
+    def test_trials_the_streams_cannot_key_is_one(self, capsys):
+        # checked through analytic, which runs no trial: where the count is not
+        # refused, a command that simulates would start a run that never ends
+        assert run(["analytic", "--trials", str(2**61)], capsys)[0] == 0
+        code, out, err = run(["analytic", "--trials", str(2**61 + 1)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("ouphase: error: trials must be at most 2**61")
+
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "0"],
                                       ["--dual-mode", "arg"]])
     def test_run_only_flags_rejected(self, flag, tmp_path, capsys):
@@ -381,6 +389,17 @@ class TestExitCodes:
         assert code == 1
         assert message in err
 
+    @pytest.mark.parametrize("args, chi", [
+        (["analytic", "--chi", "1e-300"], "1e-300"),
+        (["sweep-chi", "--values", "5e-324"], "4.94066e-324"),
+    ], ids=["analytic", "sweep-chi"])
+    def test_automatic_beta_below_omega0_is_named(self, args, chi, capsys):
+        code, out, err = run(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("ouphase: error: omega0 must satisfy 0 <= omega0 < beta; "
+                              "the automatic beta is sqrt(8*chi*N) = ")
+        assert err.endswith(f" at chi = {chi}, N = 1.3499e+06\n")
+
     def test_missing_config_file_is_one(self, capsys):
         code, _, _ = run(["simulate", "--config", "/nonexistent.cfg"], capsys)
         assert code == 1
@@ -568,6 +587,13 @@ class TestExitCodes:
         code, _, err = run(["simulate", *FAST], capsys)
         assert code == 3
         assert "resource error: no room for a block" in err
+
+    def test_interrupt_is_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(configs, trial_index):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("ouphase.experiment.run_trials", interrupted)
+        assert run(["simulate", *FAST], capsys) == (130, "", "ouphase: interrupted\n")
 
     def test_broken_pool_is_three(self, monkeypatch, capsys):
         class BrokenPool:

@@ -1,13 +1,17 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ouphase
 import ouphase.analytics
 import ouphase.experiment
 from ouphase import (
@@ -175,6 +179,11 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             make_config(seed=-1)
 
+    def test_trials_the_streams_cannot_key_rejected(self):
+        assert make_config(trials=2**61).trials == 2**61
+        with pytest.raises(ParameterError, match=r"trials must be at most 2\*\*61"):
+            make_config(trials=2**61 + 1)
+
     def test_bool_trials_rejected(self):
         # a bool is an int; the manifest would echo "trials": true
         for trials in (True, False):
@@ -188,6 +197,10 @@ class TestConfigValidation:
             with pytest.raises(ParameterError, match="0 <= omega0 < beta"):
                 make_config(omega0=omega0)
         assert make_config(omega0=0.0).loop == FeedbackParams(beta, 0.0)
+        # an automatic beta below omega0 is named, with where it came from
+        with pytest.raises(ParameterError, match=r"0 <= omega0 < beta; the automatic beta is "
+                           r"sqrt\(8\*chi\*N\) = 3.28621e-147 at chi = 1e-300, N = 1.3499e\+06"):
+            make_config(chi=1e-300)
         # the dual scheme runs no loop, but its omega0 is still checked
         assert make_config(scheme="dual_homodyne").loop is None
         for omega0 in (-5.0, float("nan")):
@@ -625,6 +638,28 @@ class TestDrawAhead:
         cfg = make_config(duration=MULTI_BLOCK, trials=30)
         assert run_ensemble(cfg) == run_ensemble(cfg, workers=2)
 
+    def test_pool_reports_equal_serial_under_forkserver_and_spawn(self):
+        # forkserver is the default start method on Linux from Python 3.14; a
+        # worker then imports the package afresh instead of inheriting it
+        script = (
+            "import multiprocessing\n"
+            "from ouphase import EstimatorParams, ExperimentConfig, ProcessParams, SimGrid\n"
+            "from ouphase import run_ensemble\n"
+            f"cfg = ExperimentConfig(params=ProcessParams(**{AP!r}),\n"
+            f"    grid=SimGrid(dt=2e-8, duration={MULTI_BLOCK!r}),\n"
+            f"    estimator=EstimatorParams({CHI_OP!r}, {CHI_OP!r}), trials=30)\n"
+            "serial = run_ensemble(cfg)\n"
+            "for method in ('forkserver', 'spawn'):\n"
+            "    multiprocessing.set_start_method(method, force=True)\n"
+            "    print(method, run_ensemble(cfg, workers=2) == serial)\n"
+        )
+        src = str(Path(ouphase.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "forkserver True\nspawn True\n"
+
 
 class TestRunEnsemble:
     def test_too_few_trials(self):
@@ -840,15 +875,34 @@ class TestRunEnsembles:
         dict(params=ProcessParams(**{**AP, "kappa": 2e4})),
         dict(params=ProcessParams(**{**AP, "lam": 5e4})),
         dict(grid=SimGrid(dt=2e-8, duration=2e-3)),
-        dict(trials=40),
         dict(master_seed=100),
-    ], ids=["kappa", "lam", "grid", "trials", "seed"])
+    ], ids=["kappa", "lam", "grid", "seed"])
     def test_configs_must_share_trials(self, change):
         base = make_config()
         with pytest.raises(ParameterError, match="agree in"):
             run_ensembles([base, replace(base, **change)])
         with pytest.raises(ParameterError, match="agree in"):
             run_trials([base, replace(base, **change)], 0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_configs_of_other_trial_counts_share_one_pass(self, workers, monkeypatch):
+        # no trial reads the count: each report folds its own first indices, and
+        # an index runs only under the configs that count it
+        a = make_config(duration=5e-4, trials=40)
+        b = replace(with_chi(a, 4e5)[0], trials=30)
+        separate = [run_ensemble(a), run_ensemble(b)]
+        calls, estimated = count_draws(monkeypatch), []
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators",
+                            lambda *args: estimated.append(args) or apply_estimators(*args))
+        assert run_ensembles([a, b], workers=workers) == separate
+        if workers == 1:
+            assert (calls["simulate_ou"], len(estimated)) == (40, 70)
+
+    def test_every_config_needs_enough_trials(self, monkeypatch):
+        calls = count_draws(monkeypatch)
+        with pytest.raises(StatisticsError, match="10 trials < 30"):
+            run_ensembles([make_config(trials=40), make_config(trials=10)])
+        assert calls["simulate_ou"] == 0
 
     def test_empty_config_list_rejected(self):
         with pytest.raises(ParameterError):

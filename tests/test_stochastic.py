@@ -327,3 +327,25 @@ class TestFirstOrderKernel:
         monkeypatch.setattr(ouphase.stochastic, "scipy", empty)
         with pytest.raises(ImportError, match="scipy 0.0.1 "):
             ouphase.stochastic._load_linear_filter()
+
+    @pytest.mark.parametrize("kernel, ok", [
+        ("def _linear_filter(b, a, x, axis, zi):\n    return lfilter(b, a, x, axis, zi)\n", True),
+        ("def _linear_filter(b, a, x, axis, zi):\n    return lfilter(b, a, x, axis, 0 * zi)\n",
+         False),
+        ("def _linear_filter(b, a, x, axis, zi):\n    return lfilter(b[-1:], a, x, axis, zi)\n",
+         False),
+        ("def _linear_filter(b, a, x, zi):\n    return lfilter(b, a, x, -1, zi)\n", False),
+    ], ids=["lfilter", "drops-the-state", "drops-the-delay", "other-signature"])
+    def test_kernel_checked_against_the_plain_recursion(self, kernel, ok, tmp_path, monkeypatch):
+        # a private symbol: a changed signature or changed numbers must fail the
+        # import, not a trial
+        (tmp_path / "signal").mkdir()
+        (tmp_path / "signal" / "_sigtools.py").write_text(
+            "from scipy.signal import lfilter\n" + kernel)
+        stub = types.SimpleNamespace(__file__=str(tmp_path / "__init__.py"), __version__="0.0.2")
+        monkeypatch.setattr(ouphase.stochastic, "scipy", stub)
+        if ok:
+            assert ouphase.stochastic._load_linear_filter().__module__ == "scipy.signal._sigtools"
+        else:
+            with pytest.raises(ImportError, match="scipy 0.0.2: "):
+                ouphase.stochastic._load_linear_filter()
