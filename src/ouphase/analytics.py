@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, check_real
-from .estimators import check_rates_and_weights
+from .estimators import EstimatorParams
 from .stochastic import ProcessParams
 
 __all__ = [
     "SCHEMES",
-    "TheoryPoint",
     "OptimalChi",
     "ImprovementRatios",
     "effective_flux",
@@ -53,23 +52,6 @@ def limit_chi(params: ProcessParams, scheme: str) -> float:
     return 2.0 * math.sqrt(params.kappa * effective_flux(params, scheme))
 
 
-@dataclass(frozen=True)
-class TheoryPoint:
-    """One evaluation point: process parameters, estimator rates and weights."""
-
-    params: ProcessParams
-    chi_minus: float
-    chi_plus: float
-    w_minus: float = 0.5
-    w_plus: float = 0.5
-    scheme: str = "adaptive"
-
-    def __post_init__(self):
-        check_rates_and_weights(self)
-        if self.scheme not in SCHEMES:
-            raise ParameterError(f"unknown scheme: {self.scheme!r}")
-
-
 def _finite(name: str, value: float) -> float:
     """``value``, unless it is not finite: then ParameterError."""
     if not math.isfinite(value):
@@ -98,13 +80,13 @@ def forward_backward_correlation(
     ))
 
 
-def combined_mse(point: TheoryPoint) -> float:
-    """MSE of the affine combination w-*forward + w+*backward."""
-    p = point.params
-    vm = filtered_mse(p, point.chi_minus, point.scheme)
-    vp = filtered_mse(p, point.chi_plus, point.scheme)
-    cc = forward_backward_correlation(p, point.chi_minus, point.chi_plus)
-    return point.w_minus**2 * vm + point.w_plus**2 * vp + 2.0 * point.w_minus * point.w_plus * cc
+def combined_mse(params: ProcessParams, estimator: EstimatorParams,
+                 scheme: str = "adaptive") -> float:
+    """MSE of w-*forward + w+*backward at the rates and weights of ``estimator``:
+    ``EstimatorParams.combine`` of the two filtered MSEs and their covariance."""
+    m, p = estimator.chi_minus, estimator.chi_plus
+    return estimator.combine(filtered_mse(params, m, scheme), filtered_mse(params, p, scheme),
+                             forward_backward_correlation(params, m, p))
 
 
 def smoothed_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") -> float:
@@ -123,15 +105,15 @@ def smoothed_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") ->
 
 def analytic_mse(config, mode: str) -> float:
     """Closed-form MSE of condition ``mode`` ("filtered" at chi_minus, "backward"
-    at chi_plus, or "smoothed") of an ``ExperimentConfig``. Every source gets
-    the theta forms; those of ``source="phihat"`` are not derived yet."""
+    at chi_plus, or "smoothed") of an ``ExperimentConfig``'s estimator. Every
+    source gets the theta forms; those of ``source="phihat"`` are not derived yet."""
     p, e, scheme = config.params, config.estimator, config.scheme
     if mode == "filtered":
         return filtered_mse(p, e.chi_minus, scheme)
     if mode == "backward":
         return filtered_mse(p, e.chi_plus, scheme)
     if mode == "smoothed":
-        return combined_mse(TheoryPoint(p, e.chi_minus, e.chi_plus, e.w_minus, e.w_plus, scheme))
+        return combined_mse(p, e, scheme)
     raise ParameterError(f"unknown condition mode: {mode!r}")
 
 

@@ -33,7 +33,8 @@ WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Averaging rates (1/s) and combination weights of the final estimators.
+    """Averaging rates chi_minus, chi_plus > 0 (1/s) and finite combination
+    weights summing to 1 (stored as floats), read by trials and theory alike.
 
     ``source`` selects which series of the trajectory is averaged: the
     instantaneous estimate ("theta") or the feedback loop's running estimate
@@ -49,20 +50,20 @@ class EstimatorParams:
     edge_discard: float | None = None
 
     def __post_init__(self):
-        check_rates_and_weights(self)
+        check_real_fields(self, "chi_minus", "chi_plus", above=0.0)
+        check_real_fields(self, "w_minus", "w_plus")
+        if abs(self.w_minus + self.w_plus - 1.0) > WEIGHT_SUM_TOL:
+            raise ParameterError("w_minus + w_plus must sum to 1")
         if self.source not in ("theta", "phihat"):
             raise ParameterError(f"unknown estimator source: {self.source!r}")
         if self.edge_discard is not None:
             check_real_fields(self, "edge_discard", at_least=0.0)
 
-
-def check_rates_and_weights(obj):
-    """Checks shared by ``EstimatorParams`` and ``analytics.TheoryPoint``:
-    chi_minus, chi_plus > 0 and finite weights summing to 1, stored as floats."""
-    check_real_fields(obj, "chi_minus", "chi_plus", above=0.0)
-    check_real_fields(obj, "w_minus", "w_plus")
-    if abs(obj.w_minus + obj.w_plus - 1.0) > WEIGHT_SUM_TOL:
-        raise ParameterError("w_minus + w_plus must sum to 1")
+    def combine(self, ff: float, bb: float, fb: float) -> float:
+        """MSE of w_minus*forward + w_plus*backward from the moments <ff>, <bb>
+        and <fb> of the forward and backward errors: a trial's or the theory's."""
+        wm, wp = self.w_minus, self.w_plus
+        return wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb
 
 
 @dataclass(frozen=True)

@@ -192,10 +192,10 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     ``linearized_theta`` or (arg model) ``arg_theta``, from those shared
     increments; ``source="phihat"`` filters it (``feedback_estimate``).
 
-    No smoothed series is built: its MSE is the quadratic form
-    w_minus**2*ff + w_plus**2*bb + 2*w_minus*w_plus*fb in the window moments of
-    the forward and backward errors. Per sample this differs from the direct
-    smoothed error by at most |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
+    No smoothed series is built: its MSE is ``EstimatorParams.combine`` of the
+    window moments ff, bb and fb of the forward and backward errors. Per sample
+    this differs from the direct smoothed error by at most
+    |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
 
     The trial runs in blocks (``blocking``), so its memory does not grow
     with its length; a trial of one block is the case with no lookahead. Each
@@ -319,8 +319,7 @@ class _ConfigTrial:
     def result(self, trial_index: int) -> TrialResult:
         i0, i1 = self.config.window
         ff, bb, fb = (total / (i1 - i0) for total in self.sums)
-        wm, wp = self.config.estimator.w_minus, self.config.estimator.w_plus
-        mses = {"filtered": ff, "smoothed": wm * wm * ff + wp * wp * bb + 2.0 * wm * wp * fb,
+        mses = {"filtered": ff, "smoothed": self.config.estimator.combine(ff, bb, fb),
                 "backward": bb}
         for mode, value in mses.items():
             if not math.isfinite(value):

@@ -22,7 +22,6 @@ from ouphase import (
     ProcessParams,
     Role,
     SimGrid,
-    TheoryPoint,
     combined_mse,
     empirical_mse,
     filtered_mse,
@@ -130,11 +129,10 @@ def test_criterion_01_analytic_identity_suite():
     recovered = True
     for kappa, lam, flux, chi in zip(kappas, lams, fluxes, chis):
         params = ProcessParams(kappa=kappa, lam=lam, flux=flux)
-        sym = combined_mse(TheoryPoint(params=params, chi_minus=chi, chi_plus=chi))
+        sym = combined_mse(params, EstimatorParams(chi, chi))
         direct = smoothed_mse(params, chi)
         worst = max(worst, abs(sym - direct) / math.ulp(max(sym, direct)))
-        one_sided = combined_mse(TheoryPoint(params=params, chi_minus=chi, chi_plus=chi,
-                                             w_minus=1.0, w_plus=0.0))
+        one_sided = combined_mse(params, EstimatorParams(chi, chi, w_minus=1.0, w_plus=0.0))
         recovered &= one_sided == filtered_mse(params, chi)
     elapsed = time.perf_counter() - start
     criterion(1, worst <= 4.0 and recovered and elapsed < 1.0,

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from ouphase import analytics
 from ouphase import (
+    EstimatorParams,
     ParameterError,
     ProcessParams,
-    TheoryPoint,
     combined_mse,
     filtered_mse,
     forward_backward_correlation,
@@ -55,9 +55,8 @@ class TestFrozenValues:
         assert xi(dh_params) == pytest.approx(0.22044225204782714, rel=1e-12)
 
     def test_asymmetric_combination(self, ap_params):
-        point = TheoryPoint(params=ap_params, chi_minus=2e5, chi_plus=4e5,
-                            w_minus=0.3, w_plus=0.7)
-        assert combined_mse(point) == pytest.approx(0.03266956936834452, rel=1e-12)
+        estimator = EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7)
+        assert combined_mse(ap_params, estimator) == pytest.approx(0.03266956936834452, rel=1e-12)
 
 
 class TestQuadratureOracle:
@@ -91,22 +90,14 @@ chi_strategy = st.floats(1e4, 1e7)
 
 class TestCombination:
     def test_degenerate_weights_recover_filtered_exactly(self, ap_params):
-        point = TheoryPoint(params=ap_params, chi_minus=2e5, chi_plus=4e5,
-                            w_minus=1.0, w_plus=0.0)
-        assert combined_mse(point) == filtered_mse(ap_params, 2e5)
-
-    def test_weight_sum_enforced(self, ap_params):
-        # checked once, when the frozen TheoryPoint is built
-        for w_plus in (0.6, float("nan")):
-            with pytest.raises(ParameterError):
-                TheoryPoint(params=ap_params, chi_minus=2e5, chi_plus=4e5,
-                            w_minus=0.5, w_plus=w_plus)
+        estimator = EstimatorParams(2e5, 4e5, w_minus=1.0, w_plus=0.0)
+        assert combined_mse(ap_params, estimator) == filtered_mse(ap_params, 2e5)
 
     @settings(max_examples=200, deadline=None)
     @given(params=params_strategy, chi=chi_strategy)
     def test_symmetric_combination_equals_smoothed(self, params, chi):
-        point = TheoryPoint(params=params, chi_minus=chi, chi_plus=chi)
-        assert ulps_apart(combined_mse(point), smoothed_mse(params, chi)) <= 4
+        combined = combined_mse(params, EstimatorParams(chi, chi))
+        assert ulps_apart(combined, smoothed_mse(params, chi)) <= 4
 
     @settings(max_examples=200, deadline=None)
     @given(params=params_strategy, chi=chi_strategy)
@@ -319,7 +310,7 @@ class TestSchemeConsistency:
         with pytest.raises(ParameterError):
             filtered_mse(ap_params, CHI_OP, "heterodyne")
         with pytest.raises(ParameterError):
-            TheoryPoint(params=ap_params, chi_minus=1e5, chi_plus=1e5, scheme="heterodyne")
+            combined_mse(ap_params, EstimatorParams(1e5, 1e5), "heterodyne")
 
     def test_chi_validation(self, ap_params):
         for chi in (0.0, -1.0, float("nan")):

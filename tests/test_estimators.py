@@ -121,8 +121,9 @@ class TestCombine:
 
     def test_weight_sum_enforced(self):
         # checked once, when the frozen EstimatorParams is built
-        with pytest.raises(ParameterError):
-            EstimatorParams(1e3, 1e3, w_minus=0.6, w_plus=0.6)
+        for w_plus in (0.6, float("nan")):
+            with pytest.raises(ParameterError):
+                EstimatorParams(1e3, 1e3, w_minus=0.6, w_plus=w_plus)
 
 
 class TestEstimatorParams:

@@ -23,6 +23,10 @@ def test_each_name_once_and_each_name_resolves():
 
 
 def test_test_only_helpers_are_gone():
-    assert not hasattr(estimators, "combine_smoothed")
-    assert "combine_smoothed" not in ouphase.__all__
+    # EstimatorParams is the one type of the rates and weights, and its
+    # combine method the one combination rule
+    for module, name in ((estimators, "combine_smoothed"), (analytics, "TheoryPoint"),
+                         (estimators, "check_rates_and_weights")):
+        assert not hasattr(module, name), name
+        assert name not in ouphase.__all__, name
     assert not hasattr(ouphase.SimGrid, "times")
