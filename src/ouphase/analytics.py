@@ -84,9 +84,9 @@ def combined_mse(params: ProcessParams, estimator: EstimatorParams,
                  scheme: str = "adaptive") -> float:
     """MSE of w-*forward + w+*backward at the rates and weights of ``estimator``:
     ``EstimatorParams.combine`` of the two filtered MSEs and their covariance."""
-    m, p = estimator.chi_minus, estimator.chi_plus
-    return estimator.combine(filtered_mse(params, m, scheme), filtered_mse(params, p, scheme),
-                             forward_backward_correlation(params, m, p))
+    cm, cp = estimator.chi_minus, estimator.chi_plus
+    return estimator.combine(filtered_mse(params, cm, scheme), filtered_mse(params, cp, scheme),
+                             forward_backward_correlation(params, cm, cp))
 
 
 def smoothed_mse(params: ProcessParams, chi: float, scheme: str = "adaptive") -> float:

@@ -248,8 +248,10 @@ def _json_text(payload: dict) -> str:
 
 
 def _check_destination(destination: str):
-    """Fails as ``_write`` would if the directory of ``destination`` is
-    missing, so that a typo in --out costs no run; creates no file."""
+    """Fails as ``_write`` would if ``destination`` is a directory or its
+    directory is missing, so that a typo in --out costs no run; creates no file."""
+    if os.path.isdir(destination):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), destination)
     if not os.path.isdir(os.path.dirname(destination) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), destination)
 

@@ -16,7 +16,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from dataclasses import astuple
 from pathlib import Path
@@ -88,7 +87,6 @@ def main():
         record = {"versions": versions(), "trial_mses": trial_mses(),
                   "out_sha256": out_hashes(Path(directory))}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

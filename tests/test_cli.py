@@ -361,17 +361,21 @@ class TestExitCodes:
         assert code == 1
         assert "i/o" in err
 
+    @pytest.mark.parametrize("dest, error", [
+        ("missing_dir/out.json", "[Errno 2] No such file or directory"),
+        (".", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "existing-directory"])
     @pytest.mark.parametrize("command", [["simulate"], ["sweep-chi"], ["sweep-flux"],
-                                         ["compare"]], ids=lambda c: c[0])
-    def test_missing_destination_directory_is_one_before_any_trial(self, command, tmp_path,
-                                                                   capsys, monkeypatch):
+                                         ["compare"], ["analytic"]], ids=lambda c: c[0])
+    def test_missing_destination_directory_is_one_before_any_trial(self, command, dest, error,
+                                                                   tmp_path, capsys, monkeypatch):
         calls = count_draws(monkeypatch)
-        dest = tmp_path / "missing_dir" / "out.json"
+        dest = tmp_path / dest
         code, out, err = run([*command, *FAST, "--out", str(dest)], capsys)
         assert (code, out) == (1, "")
-        assert err == f"ouphase: i/o error: [Errno 2] No such file or directory: '{dest}'\n"
+        assert err == f"ouphase: i/o error: {error}: '{dest}'\n"
         assert calls == {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
-        assert not (tmp_path / "missing_dir").exists()
+        assert [p.name for p in tmp_path.iterdir()] == []
 
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_bad_workers_is_one(self, workers, capsys):
