@@ -119,42 +119,30 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_values(file_values: dict | None, cli_values: dict | None) -> dict:
-    """Precedence: command line > config file > defaults; None is unset."""
-    values = dict(DEFAULTS)
-    for layer in (file_values or {}, cli_values or {}):
-        values.update((k, v) for k, v in layer.items() if v is not None)
-    return values
-
-
-def _build_config(values: dict) -> ExperimentConfig:
-    params = ProcessParams(kappa=values["kappa"], lam=values["lambda"], flux=values["flux"])
-    grid = SimGrid(dt=values["dt"], duration=values["duration"], warmup=values["warmup"])
+def load_config(path: str | None = None, cli_overrides: dict | None = None) -> ExperimentConfig:
+    """Config from the defaults, a flat key=value file if ``path`` is given, and
+    command-line overrides, each layer over the one before; an override of
+    None leaves its key unset."""
+    values = {**DEFAULTS, **(_read_config_file(path) if path else {})}
+    values.update((k, v) for k, v in (cli_overrides or {}).items() if v is not None)
     edge = values["edge_discard"]
-    estimator = EstimatorParams(
-        chi_minus=values["chi"],
-        chi_plus=values["chi"],
-        w_minus=values["w_minus"],
-        w_plus=values["w_plus"],
-        source=values["source"],
-        edge_discard=None if edge == "auto" else edge,
-    )
     return ExperimentConfig(
-        params=params,
-        grid=grid,
-        estimator=estimator,
+        params=ProcessParams(kappa=values["kappa"], lam=values["lambda"], flux=values["flux"]),
+        grid=SimGrid(dt=values["dt"], duration=values["duration"], warmup=values["warmup"]),
+        estimator=EstimatorParams(
+            chi_minus=values["chi"],
+            chi_plus=values["chi"],
+            w_minus=values["w_minus"],
+            w_plus=values["w_plus"],
+            source=values["source"],
+            edge_discard=None if edge == "auto" else edge,
+        ),
         scheme=values["scheme"],
         beta=values["beta"],
         omega0=values["omega0"],
         trials=values["trials"],
         master_seed=values["seed"],
     )
-
-
-def load_config(path: str | None = None, cli_overrides: dict | None = None) -> ExperimentConfig:
-    """Config from the defaults, a flat key=value file if ``path`` is given, and
-    command-line overrides, each layer over the one before."""
-    return _build_config(_merge_values(_read_config_file(path) if path else None, cli_overrides))
 
 
 # ---------------------------------------------------------------------------

@@ -198,12 +198,15 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
 
     The trial runs in blocks (``blocking``), so its memory does not grow
-    with its length; a trial of one block is the case with no lookahead. Each
-    recursion carries its state from block to block, each config's in its
-    ``_ConfigTrial``; only the backward averages of a block that is not the
-    last one see a finite lookahead. phi and the theta of the run at hand are
-    the rows of one array that lives for the trial, and each run keeps only
-    its theta over the lookahead for the next block.
+    with its length; a trial of at most B samples is one block with no
+    lookahead. Blocks start every B samples below n - L, and every block
+    draws: the last one takes the tail, up to B + L samples
+    (``_draw_lengths``). Each recursion carries its state from block to
+    block, each config's in its ``_ConfigTrial``; only the backward averages
+    of a block that is not the last one see a finite lookahead. phi and the
+    theta of the run at hand are the rows of one array that lives for the
+    trial, and each run keeps only its theta over the lookahead for the next
+    block.
 
     The trial is the one reader of each noise stream: it draws each once per
     block by one generator (``_StreamAhead``), and every run that reads a
@@ -233,43 +236,42 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
 
     streams = [phase, *last]
+    lengths = _draw_lengths(n, block, lookahead)
+    blocks = len(lengths)
     # phi (row 0) and the theta of the run at hand (row 1) over a block and its
     # lookahead. A trial of more blocks has a row more per noise stream, the
     # buffer its draws go to; so glibc, whose trim threshold is twice the
     # largest chunk it has unmapped, keeps the trial's pages from block to
     # block and trial to trial. A trial of one block allocates its draws.
-    held = np.empty((2 + (len(streams) if lookahead else 0), block + lookahead))
+    held = np.empty((2 + (len(streams) if blocks > 1 else 0), block + lookahead))
     phi, theta = held[0], held[1]
     theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-    lengths = _draw_lengths(n, block, lookahead)
     helper = (ThreadPoolExecutor(max_workers=1)
-              if lookahead > 0 and (os.cpu_count() or 1) >= 2 * _processes else None)
+              if blocks > 1 and (os.cpu_count() or 1) >= 2 * _processes else None)
     try:
         noise = {stream: _StreamAhead(stream, helper, lengths, buffer)
                  for stream, buffer in itertools.zip_longest(streams, held[2:])}
         ahead = 0
-        for s in range(0, n, block):
-            e = min(s + block, n)
-            drawn, ahead = ahead, min(e + lookahead, n) - e  # drawn: the last block's lookahead
+        for s in range(0, n - lookahead, block):
+            drawn = ahead  # the previous block's lookahead
+            e, ahead = (n, 0) if s + block + lookahead >= n else (s + block, lookahead)
             size = e + ahead - s
             phi[:drawn] = phi[block:block + drawn]  # moves to the front
             new = slice(drawn, size)
-            if size > drawn:
-                phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
-                                       None if s == 0 else float(phi[drawn - 1]))
-                noise[phase].done()
+            phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
+                                   None if s == 0 else float(phi[drawn - 1]))
+            noise[phase].done()
             dW = {}  # each measurement stream's increments over the block's new samples
             for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
                 theta[:drawn] = kept[:drawn]
-                if size > drawn:
-                    for stream in read:
-                        if stream not in dW:
-                            dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
-                    theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
-                    for stream in read:
-                        if last[stream] == i:  # freed before the estimators run
-                            del dW[stream]
-                            noise[stream].done()
+                for stream in read:
+                    if stream not in dW:
+                        dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
+                theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
+                for stream in read:
+                    if last[stream] == i:  # freed before the estimators run
+                        del dW[stream]
+                        noise[stream].done()
                 kept[:ahead] = theta[e - s:size]
                 for trial in run:
                     trial.block(theta[:size], phi, s, e, ahead)
@@ -375,10 +377,11 @@ def blocking(configs) -> tuple[int, int]:
 
 
 def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
-    """The samples each block of a trial draws, for the blocks that draw any:
-    a block draws up to its lookahead's end, min(start + B + L, n)."""
-    ends = [min(s + block + lookahead, n) for s in range(0, n, block)]
-    return [end - start for start, end in zip([0, *ends], ends) if end > start]
+    """The samples each block of a trial draws. Blocks start every B samples
+    below n - L, and each draws up to its lookahead's end, min(start + B + L, n):
+    the last one takes the tail, so every block draws."""
+    ends = [min(s + block + lookahead, n) for s in range(0, n - lookahead, block)]
+    return [end - start for start, end in zip([0, *ends], ends)]
 
 
 class _StreamAhead:

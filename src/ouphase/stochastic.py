@@ -124,8 +124,7 @@ class NoiseStream:
         the stream's next ``n`` draws instead: a stream drawn in consecutive
         pieces gives the same values as one draw of their total length.
         """
-        if not isinstance(n, int) or n < 0:
-            raise ParameterError("n must be a non-negative integer")
+        check_index("n", n, MAX_STEPS.bit_length())  # [0, MAX_STEPS]
         return (self.generator() if generator is None else generator).standard_normal(n)
 
 
@@ -220,6 +219,8 @@ def simulate_ou(
     the sample before it, in place of ``init``. The blocks joined are the
     one-call trajectory, bit for bit.
     """
+    if steps is not None and (isinstance(steps, bool) or not isinstance(steps, int) or steps < 1):
+        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
     n = grid.n_steps if steps is None else steps
     dt = grid.dt
     stationary = isinstance(init, str)

@@ -12,9 +12,7 @@ import pytest
 from ouphase import ParameterError, ProcessParams, analytics
 from ouphase.cli import (
     DEFAULTS,
-    _build_config,
     _config_echo,
-    _merge_values,
     build_manifest,
     dispatch,
     emit_results,
@@ -263,7 +261,6 @@ class TestConfigFile:
         path = tmp_path / "empty.cfg"
         path.write_text("")
         config = load_config(str(path))
-        assert config == _build_config(_merge_values(None, None))
         assert load_config() == config
         assert config.params.kappa == DEFAULTS["kappa"]
         assert config.trials == DEFAULTS["trials"]
@@ -641,7 +638,7 @@ class TestWorkerPool:
 
 class TestEmitGuards:
     def _report(self, mse):
-        config = _build_config(_merge_values(None, {"trials": 30, "duration": 5e-4}))
+        config = load_config(None, {"trials": 30, "duration": 5e-4})
         cond = Condition(scheme="adaptive", mode="filtered", chi=1e5, flux=1e6,
                          trials=30, mc_mse=mse, mc_stderr=1e-4, analytic_mse=0.05,
                          z_score=0.0)

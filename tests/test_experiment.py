@@ -474,10 +474,11 @@ class TestBlocks:
         assert abs(growth) < 8 * block
 
     @pytest.mark.parametrize("source", ["theta", "phihat"])
-    @pytest.mark.parametrize("extra", [1, 2500, 5000, 5001])
+    @pytest.mark.parametrize("extra", [1, 2500, 5000, 5001, 2 ** 17 + 2500])
     def test_last_block_inside_the_lookahead_matches_the_one_shot_reference(self, extra, source):
-        # up to L = 5000 samples past one block, the last block lies inside the
-        # first one's lookahead and draws nothing; at L + 1 it draws one sample
+        # up to L = 5000 samples past a block, that block takes them as its
+        # tail and is the last; at L + 1 a last block of its own draws one
+        # sample; at B + 2500 the second block takes the tail
         est = EstimatorParams(**self.UNEQUAL, source=source)
         cfg = make_config(seed=5, duration=(2 ** 17 + extra) * 2e-8, estimator=est)
         assert cfg.grid.n_steps == 2 ** 17 + extra
@@ -485,6 +486,26 @@ class TestBlocks:
         for trial in (0, 7):
             assert as_list(run_trial(cfg, trial)) == pytest.approx(
                 reference_trial(cfg, trial), rel=1e-15, abs=0)
+
+    def test_one_estimator_pass_per_config_and_drawing_block(self, monkeypatch):
+        # a tail inside the lookahead belongs to the last block that draws: no
+        # block of its own, which draws nothing, averages it a second time
+        n = 2 ** 17 + 2500
+        configs = [make_config(seed=5, duration=n * 2e-8,
+                               estimator=EstimatorParams(**self.UNEQUAL, source=source))
+                   for source in ("theta", "phihat")]
+        apply, passes = ouphase.experiment.apply_estimators, []
+
+        def counted(series, params, *args):
+            passes.append(params.source)
+            return apply(series, params, *args)
+
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", counted)
+        draws = record_draws(monkeypatch)
+        run_trials(configs, 0)
+        [blocks] = draws[Role.PHASE_NOISE]
+        assert blocks == [n]
+        assert passes == ["theta", "phihat"] * len(blocks)
 
     def test_peak_memory_does_not_grow_with_flux_points(self):
         # each run of configs with one N' keeps only its theta over the lookahead
@@ -620,7 +641,8 @@ class TestDrawAhead:
         monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
         assert run_trial(cfg, 0) == expected
         cpus(64)
-        run_trial(make_config(), 0)  # one block: no helper at any CPU count
+        for duration in (1e-3, (2 ** 17 + 2500) * 2e-8):  # one block: no helper at any CPU count
+            run_trial(make_config(duration=duration), 0)
 
     @pytest.mark.parametrize("count, helper", [(2, False), (4, True)])
     def test_pool_workers_draw_ahead_only_with_a_cpu_each_to_spare(self, count, helper, cpus,

@@ -60,9 +60,10 @@ class TestWienerIncrements:
         with pytest.raises(ParameterError):
             wiener_increments(stream(), 10, dt)
 
-    def test_negative_n_rejected(self):
-        with pytest.raises(ParameterError):
-            wiener_increments(stream(), -1, 1e-8)
+    @pytest.mark.parametrize("n", [-1, True, 1.5])
+    def test_negative_n_rejected(self, n):
+        with pytest.raises(ParameterError, match="n must be"):
+            wiener_increments(stream(), n, 1e-8)
 
 
 class TestNoiseStream:
@@ -184,6 +185,15 @@ class TestSimulateOu:
             blocks.append(simulate_ou(params, g, s, init, generator, steps, last))
             last = blocks[-1][-1]
         assert np.array_equal(np.concatenate(blocks), simulate_ou(params, g, s, init=init))
+
+    @pytest.mark.parametrize("steps", [0, -1, True])
+    def test_steps_below_one_refused_before_any_draw(self, ap_params, steps):
+        g = SimGrid(dt=2e-8, duration=1e-4)
+        s = stream(seed=13)
+        generator = s.generator()
+        with pytest.raises(ParameterError, match="steps"):
+            simulate_ou(ap_params, g, s, "stationary", generator, steps)
+        assert np.array_equal(generator.standard_normal(5), s.normals(5))
 
     def test_noise_free_decay(self):
         params = ProcessParams(kappa=1e-12, lam=6.1451e4, flux=1e6)
