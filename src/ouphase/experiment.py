@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import partial
 from operator import attrgetter
@@ -49,6 +50,7 @@ MIN_BLOCK = 2 ** 17  # samples per block of a trial, at least
 LOOKAHEAD_DECAYS = 40.0  # backward-average time constants each block looks ahead
 _THETA_KEY = attrgetter("scheme", "dual_mode", "n_eff")  # configs with one key share theta
 _processes = 1  # processes running trials at once: a pool's initializer sets its size
+_pipeline = ContextVar("pipeline", default=None)  # the _DrawPipeline of the loop at hand
 
 
 @dataclass(frozen=True)
@@ -204,20 +206,28 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     (``_draw_lengths``). Each recursion carries its state from block to
     block, each config's in its ``_ConfigTrial``; only the backward averages
     of a block that is not the last one see a finite lookahead. phi and the
-    theta of the run at hand are the rows of one array that lives for the
-    trial, and each run keeps only its theta over the lookahead for the next
-    block.
+    theta of the run at hand are the rows of one array, and each run keeps
+    only its theta over the lookahead for the next block.
 
     The trial is the one reader of each noise stream: it draws each once per
     block by one generator (``_StreamAhead``), and every run that reads a
     stream reads that draw without writing it; a stream's increments are
-    freed after the last run that reads them. With a CPU free for it (the
-    CPU count is at least twice the number of processes running trials), a
-    trial of more blocks draws the next block on a helper thread while it
-    runs the block at hand; otherwise a block's draw runs when the trial
-    reads it. The draws, so the results, are the same either way. The
-    thread ends before this returns, also on error.
+    freed after the last run that reads them. The draws come from the draw
+    pipeline (``_DrawPipeline``) of the loop the trial is part of: a serial
+    pass of ``run_ensembles`` or one pool task of it, or else one of the
+    trial's own. With a CPU free for it (the CPU count is at least twice the
+    number of processes running trials), a trial of more blocks draws the
+    next block on the pipeline's helper thread while it runs the block at
+    hand, and its last block draws the first block of the loop's next trial
+    if that trial runs the same configs; otherwise a block's draw runs when
+    the trial reads it. The draws, so the results, are the same either way.
+    The thread ends when the loop does, also on error: a trial of its own
+    ends it before this returns.
     """
+    pipeline = _pipeline.get()
+    if pipeline is None:  # a trial of its own, with a pipeline of its own
+        with _DrawPipeline():
+            return run_trials(configs, trial_index)
     configs = _check_shared(configs)
     c0 = configs[0]
     grid, params = c0.grid, c0.params
@@ -235,49 +245,34 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
               for c in (run[0].config for run in runs)]
     last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
 
-    streams = [phase, *last]
-    lengths = _draw_lengths(n, block, lookahead)
-    blocks = len(lengths)
-    # phi (row 0) and the theta of the run at hand (row 1) over a block and its
-    # lookahead. A trial of more blocks has a row more per noise stream, the
-    # buffer its draws go to; so glibc, whose trim threshold is twice the
-    # largest chunk it has unmapped, keeps the trial's pages from block to
-    # block and trial to trial. A trial of one block allocates its draws.
-    held = np.empty((2 + (len(streams) if blocks > 1 else 0), block + lookahead))
+    held, noise = pipeline.trial(configs, trial_index, [phase, *last],
+                                 _draw_lengths(n, block, lookahead), block + lookahead)
     phi, theta = held[0], held[1]
     theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-    helper = (ThreadPoolExecutor(max_workers=1)
-              if blocks > 1 and (os.cpu_count() or 1) >= 2 * _processes else None)
-    try:
-        noise = {stream: _StreamAhead(stream, helper, lengths, buffer)
-                 for stream, buffer in itertools.zip_longest(streams, held[2:])}
-        ahead = 0
-        for s in range(0, n - lookahead, block):
-            drawn = ahead  # the previous block's lookahead
-            e, ahead = (n, 0) if s + block + lookahead >= n else (s + block, lookahead)
-            size = e + ahead - s
-            phi[:drawn] = phi[block:block + drawn]  # moves to the front
-            new = slice(drawn, size)
-            phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
-                                   None if s == 0 else float(phi[drawn - 1]))
-            noise[phase].done()
-            dW = {}  # each measurement stream's increments over the block's new samples
-            for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
-                theta[:drawn] = kept[:drawn]
-                for stream in read:
-                    if stream not in dW:
-                        dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
-                theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
-                for stream in read:
-                    if last[stream] == i:  # freed before the estimators run
-                        del dW[stream]
-                        noise[stream].done()
-                kept[:ahead] = theta[e - s:size]
-                for trial in run:
-                    trial.block(theta[:size], phi, s, e, ahead)
-    finally:
-        if helper:
-            helper.shutdown(wait=True, cancel_futures=True)
+    ahead = 0
+    for s in range(0, n - lookahead, block):
+        drawn = ahead  # the previous block's lookahead
+        e, ahead = (n, 0) if s + block + lookahead >= n else (s + block, lookahead)
+        size = e + ahead - s
+        phi[:drawn] = phi[block:block + drawn]  # moves to the front
+        new = slice(drawn, size)
+        phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
+                               None if s == 0 else float(phi[drawn - 1]))
+        noise[phase].done()
+        dW = {}  # each measurement stream's increments over the block's new samples
+        for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
+            theta[:drawn] = kept[:drawn]
+            for stream in read:
+                if stream not in dW:
+                    dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
+            theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
+            for stream in read:
+                if last[stream] == i:  # freed before the estimators run
+                    del dW[stream]
+                    noise[stream].done()
+            kept[:ahead] = theta[e - s:size]
+            for trial in run:
+                trial.block(theta[:size], phi, s, e, ahead)
     return [trial.result(trial_index) for trial in trials]
 
 
@@ -384,11 +379,79 @@ def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
     return [end - start for start, end in zip([0, *ends], ends)]
 
 
+class _DrawPipeline:
+    """The draws of a loop over consecutive trial indices: a serial pass of
+    ``run_ensembles``, one pool task of it, or a trial of its own. It holds
+    the helper thread, the ``held`` rows and one ``_StreamAhead`` per noise
+    stream; within the ``with`` block it is the pipeline that ``run_trials``
+    draws from.
+
+    A trial's streams chain on to the indices that follow it below ``stop``
+    (none by default) while every config of the trial counts them (has more
+    trials): the loop runs those under the same configs, so with the same
+    streams and ``_draw_lengths``, and each stream's last draw of a trial is
+    followed by the next trial's first, into the same buffer row. The helper
+    starts with the first trial of more blocks that has a CPU free for it,
+    and ends when the ``with`` block does, also on error.
+    """
+
+    def __init__(self, stop: int = 0):
+        self._stop = stop
+        self._helper = None
+        self._held = np.empty((0, 0))
+        self._noise = []  # each stream's _StreamAhead
+        self._end = 0  # the chain's end: the first index the streams do not reach
+        self._next = None  # the configs and index whose draws are under way
+
+    def __enter__(self):
+        self._token = _pipeline.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _pipeline.reset(self._token)
+        if self._helper:
+            self._helper.shutdown(wait=True, cancel_futures=True)
+
+    def trial(self, configs, trial_index: int, streams, lengths: list[int], width: int):
+        """The held rows, of ``width`` samples, and each of ``streams``' draws
+        for trial ``trial_index`` of ``configs``. phi (row 0) and the theta of
+        the run at hand (row 1) over a block and its lookahead; a trial of
+        more blocks has a row more per stream, the buffer its draws go to, so
+        glibc, whose trim threshold is twice the largest chunk it has
+        unmapped, keeps the pages from block to block and trial to trial. A
+        trial of one block allocates its draws."""
+        if self._next != (configs, trial_index):  # none of its draws under way
+            blocks = len(lengths)
+            rows = 2 + (len(streams) if blocks > 1 else 0)
+            if self._held.shape != (rows, width):
+                self._held = np.empty((rows, width))
+            if blocks > 1 and not self._helper and (os.cpu_count() or 1) >= 2 * _processes:
+                self._helper = ThreadPoolExecutor(max_workers=1)
+            self._end = min(self._stop, *(config.trials for config in configs))
+            indices = [trial_index, *range(trial_index + 1, self._end)]
+            helper = self._helper if blocks > 1 else None
+            self._noise = [_StreamAhead(_draws(stream, indices, lengths), helper, buffer)
+                           for stream, buffer in itertools.zip_longest(streams, self._held[2:])]
+        self._next = (configs, trial_index + 1) if trial_index + 1 < self._end else None
+        return self._held, dict(zip(streams, self._noise))
+
+
+def _draws(stream: NoiseStream, indices: list[int], lengths: list[int]):
+    """Each draw of ``stream``'s role over trials ``indices``, in turn: its
+    stream, its generator's ``standard_normal`` and its length."""
+    for index in indices:
+        stream = replace(stream, trial_index=index)
+        draw = stream.generator().standard_normal
+        for length in lengths:
+            yield stream, draw, length
+
+
 class _StreamAhead:
-    """One noise stream of a trial, its one reader, drawn once per block
-    (``lengths``, each block's draw length): ``standard_normal(n)`` is the
-    block's draw, and ``done()``, once the trial is done with it, starts the
-    next. The first draw starts when this is built.
+    """One noise stream's draws, one per block and trial after trial
+    (``draws``, from ``_draws``): ``standard_normal(n)`` is the draw at hand,
+    and ``done()``, once the trial is done with it, starts the next, which
+    after a trial's last block is the next trial's first. The first draw
+    starts when this is built.
 
     Each draw goes to ``buffer``, or, with none (a trial of one block), to a
     new array. With a ``helper``, its one thread draws the next block while
@@ -397,24 +460,26 @@ class _StreamAhead:
     not see; otherwise the trial's thread draws it when the trial reads it.
     """
 
-    def __init__(self, stream: NoiseStream, helper: ThreadPoolExecutor | None,
-                 lengths: list[int], buffer: np.ndarray | None):
-        self._draw = stream.generator().standard_normal
+    def __init__(self, draws, helper: ThreadPoolExecutor | None, buffer: np.ndarray | None):
+        self._draws = draws
         self._helper = helper
-        self._lengths = iter(lengths)
         self._buffer = buffer
         self.done()
 
     def standard_normal(self, n: int) -> np.ndarray:
         drawn = self._next()
-        assert len(drawn) == n, "the trial asked for other than the block's draw"
+        if len(drawn) != n:
+            raise RuntimeError(f"{self._stream} drew {len(drawn)} normals for a block "
+                               f"that reads {n}")
         return drawn
 
     def done(self):
-        length = next(self._lengths, 0)
-        out = None if self._buffer is None else self._buffer[:length]
-        draw = partial(self._draw, length, out=out)
-        self._next = length and (self._helper.submit(draw).result if self._helper else draw)
+        self._stream, draw, length = next(self._draws, (None, None, 0))
+        self._next = None  # the chain's last draw is read
+        if length:
+            out = None if self._buffer is None else self._buffer[:length]
+            draw = partial(draw, length, out=out)
+            self._next = self._helper.submit(draw).result if self._helper else draw
 
 
 @dataclass(frozen=True)
@@ -482,12 +547,16 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     with more than i trials, and each report folds its own config's first
     ``trials`` indices, so it equals ``run_ensemble`` of that config.
 
-    ``workers > 1`` maps the trial indices over one process pool of
-    min(workers, ceil(max trials / 8), CPU count) processes; results are
-    identical to a serial run because aggregation folds in trial-index order.
-    A worker draws ahead on a helper thread only if the CPU count is at least
-    twice the pool's size (``run_trials``). Each config's theory and trial
-    count are checked before any trial runs.
+    A serial run is one loop over the trial indices; ``workers > 1`` maps
+    chunks of TRIAL_CHUNK consecutive indices over one process pool of
+    min(workers, chunk count, CPU count) processes, each chunk a loop of its
+    own. Results are identical either way, because aggregation folds in
+    trial-index order. Each loop owns one draw pipeline (``run_trials``): its
+    helper thread draws ahead across the loop's trials, the next trial's
+    first block during this one's last, and ends before the loop does, also
+    on error. A pool worker starts one only if the CPU count is at least
+    twice the pool's size. Each config's theory and trial count are checked
+    before any trial runs.
     """
     configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -498,15 +567,16 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     if fewest < MIN_TRIALS_FOR_STDERR:
         raise StatisticsError(f"{fewest} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
     trials = max(config.trials for config in configs)
-    task = partial(_run_index, configs)
+    task = partial(_run_indices, configs)
     if workers > 1:
+        chunks = [range(i, min(i + TRIAL_CHUNK, trials)) for i in range(0, trials, TRIAL_CHUNK)]
         # a fork pool starts all its processes at once: no more than can get work
-        size = min(workers, math.ceil(trials / TRIAL_CHUNK), os.cpu_count() or 1)
+        size = min(workers, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size, initializer=_share_cpus,
                                  initargs=(size,)) as pool:
-            rows = list(pool.map(task, range(trials), chunksize=TRIAL_CHUNK))
+            rows = list(itertools.chain.from_iterable(pool.map(task, chunks)))
     else:
-        rows = [task(i) for i in range(trials)]
+        rows = task(range(trials))
     return [_report(config, results[:config.trials], theory)
             for config, results, theory in zip(configs, zip(*rows), theories)]
 
@@ -517,14 +587,18 @@ def _share_cpus(processes: int) -> None:
     _processes = processes
 
 
-def _run_index(configs: list[ExperimentConfig], trial_index: int) -> list[TrialResult | None]:
-    """Trial ``trial_index`` under the configs with more trials than that;
-    None in the place of each other config."""
-    run = [config for config in configs if config.trials > trial_index]
-    # one config calls run_trial by its global name, which bench/tracer.py wraps
-    results = iter([run_trial(run[0], trial_index)] if len(run) == 1 else
-                   run_trials(run, trial_index))
-    return [next(results) if config.trials > trial_index else None for config in configs]
+def _run_indices(configs: list[ExperimentConfig], indices: range) -> list[list[TrialResult | None]]:
+    """Each trial of ``indices`` under the configs with more trials than its
+    index, None in the place of each other config; one draw pipeline serves
+    them all."""
+    rows = []
+    with _DrawPipeline(indices.stop):
+        for i in indices:
+            run = [config for config in configs if config.trials > i]
+            # one config calls run_trial by its global name, which bench/tracer.py wraps
+            results = iter([run_trial(run[0], i)] if len(run) == 1 else run_trials(run, i))
+            rows.append([next(results) if config.trials > i else None for config in configs])
+    return rows
 
 
 def _report(config: ExperimentConfig, results, theory: dict[str, float]) -> VarianceReport:

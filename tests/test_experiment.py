@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -633,6 +634,83 @@ class TestDrawAhead:
         assert threading.active_count() == before
         assert during == [before + 1] * blocks
 
+    def test_one_helper_thread_for_a_serial_pass(self, cpus, monkeypatch):
+        # the pass owns the helper: each trial's last block draws the next
+        # trial's first, so the thread lives from the first trial to the last
+        cpus(2)
+        made, apply, make = [], ouphase.experiment.apply_estimators, NoiseStream.generator
+        # the trial index of each generator made; at each estimator pass, the
+        # thread count and the highest of those indices
+        keyed, during = [], []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        def recorded(stream):
+            keyed.append(stream.trial_index)
+            return make(stream)
+
+        def counted(*args, **kwargs):
+            during.append((threading.active_count(), max(keyed)))
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", counted)
+        monkeypatch.setattr(NoiseStream, "generator", recorded)
+        before = threading.active_count()
+        run_ensemble(make_config(duration=MULTI_BLOCK, trials=30))
+        assert threading.active_count() == before
+        assert len(made) == 1
+        # three blocks a trial: the last one's pass runs with the next trial's draws begun
+        assert during == [(before + 1, k) for i in range(30) for k in (i, i, min(i + 1, 29))]
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_no_thread_outlives_a_pass_that_fails(self, failure, cpus, monkeypatch):
+        # trial 3 of 30 fails in its second block, while the helper may be
+        # drawing its third
+        cpus(2)
+        apply, during = ouphase.experiment.apply_estimators, []
+
+        def fails_in_trial_3(*args, **kwargs):
+            during.append(threading.active_count())
+            if len(during) == 3 * 3 + 2:
+                raise failure("trial 3")
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(ouphase.experiment, "apply_estimators", fails_in_trial_3)
+        before = threading.active_count()
+        with pytest.raises(failure, match="trial 3"):
+            run_ensembles([make_config(duration=MULTI_BLOCK, trials=30)])
+        assert threading.active_count() == before
+        assert during == [before + 1] * (3 * 3 + 2)
+
+    def test_a_draw_of_another_length_is_refused_under_optimization(self):
+        # python -O strips asserts: the length check must raise on its own
+        script = (
+            "import ouphase.experiment as ex\n"
+            "from ouphase import EstimatorParams, ExperimentConfig, ProcessParams, SimGrid\n"
+            f"cfg = ExperimentConfig(params=ProcessParams(**{AP!r}),\n"
+            f"    grid=SimGrid(dt=2e-8, duration={MULTI_BLOCK!r}),\n"
+            f"    estimator=EstimatorParams({CHI_OP!r}, {CHI_OP!r}), trials=30, master_seed=5)\n"
+            "lengths = ex._draw_lengths\n"
+            "ex._draw_lengths = lambda *args: [k - 1 for k in lengths(*args)]\n"
+            "try:\n"
+            "    ex.run_trial(cfg, 3)\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(ouphase.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        block, lookahead = blocking([make_config(duration=MULTI_BLOCK)])
+        stream = NoiseStream(5, 3, Role.PHASE_NOISE)
+        assert done.stdout == (f"{stream} drew {block + lookahead - 1} normals for a block "
+                               f"that reads {block + lookahead}\n")
+
     def test_no_helper_without_a_free_cpu(self, cpus, monkeypatch):
         cfg = make_config(duration=MULTI_BLOCK)
         cpus(2)
@@ -919,6 +997,23 @@ class TestRunEnsembles:
         assert run_ensembles([a, b], workers=workers) == separate
         if workers == 1:
             assert (calls["simulate_ou"], len(estimated)) == (40, 70)
+
+    def test_multi_block_configs_of_other_trial_counts_share_one_pass(self, cpus):
+        # L falls from index 30, where the slower config's trials end: the
+        # streams chain from trial to trial up to index 29 and start afresh at
+        # 30, serially and in each pool task; with 4 CPUs a 2-process pool's
+        # tasks draw on their own helpers
+        a = make_config(duration=MULTI_BLOCK, trials=40)
+        b = replace(with_chi(a, 1e5)[0], trials=30)
+        assert blocking([a, b])[1] > blocking([a])[1]
+        cpus(2)
+        separate = [run_ensemble(a), run_ensemble(b)]
+        for count, workers in [(2, 1), (1, 1), (2, 2), (1, 2), (4, 2)]:
+            cpus(count)
+            assert run_ensembles([a, b], workers=workers) == separate, (count, workers)
+        cpus(2)
+        rows = ouphase.experiment._run_indices([a, b], range(40))
+        assert rows == [[run_trial(a, i), run_trial(b, i) if i < 30 else None] for i in range(40)]
 
     def test_every_config_needs_enough_trials(self, monkeypatch):
         calls = count_draws(monkeypatch)
