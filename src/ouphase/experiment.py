@@ -26,7 +26,7 @@ from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench
 from .errors import ParameterError, StatisticsError
 from .errors import check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
-from .stochastic import SEED_BITS, TRIAL_BITS, NoiseStream, ProcessParams, Role, SimGrid
+from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
 
 __all__ = [
@@ -62,8 +62,7 @@ class ExperimentConfig:
     may also be "auto" (that same gain) or a positive number, both for the
     adaptive scheme only. ``omega0`` is >= 0, and below beta for the adaptive
     scheme. ``dual_mode``, the dual detector's model, is "linearized" or (dual
-    scheme only) "arg". ``trials`` is at most 2**TRIAL_BITS, the trial indices
-    the noise streams key.
+    scheme only) "arg".
 
     What every trial needs is derived when the config is built (``replace``
     derives it again) and kept in read-only attributes that are not init
@@ -91,9 +90,6 @@ class ExperimentConfig:
         flux = analytics.effective_flux(self.params, self.scheme)  # checks the scheme
         if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials must be an integer >= 1")
-        if self.trials > 2**TRIAL_BITS:
-            raise ParameterError(f"trials must be at most 2**{TRIAL_BITS}: "
-                                 "the noise streams key no higher trial index")
         check_index("master_seed", self.master_seed, SEED_BITS)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
@@ -477,6 +473,9 @@ class _StreamAhead:
         self._stream, draw, length = next(self._draws, (None, None, 0))
         self._next = None  # the chain's last draw is read
         if length:
+            if self._buffer is not None and length > len(self._buffer):
+                raise RuntimeError(f"{self._stream} draws {length} normals for a block "
+                                   f"whose buffer row holds {len(self._buffer)}")
             out = None if self._buffer is None else self._buffer[:length]
             draw = partial(draw, length, out=out)
             self._next = self._helper.submit(draw).result if self._helper else draw

@@ -1,9 +1,9 @@
 """Seedable Wiener increments and exact Ornstein-Uhlenbeck trajectories.
 
-Randomness is organized as counter-keyed streams: a (master_seed,
-trial_index, role) triple maps to a fixed Philox key, so every trial of an
-ensemble draws from its own statistically independent stream and results
-never depend on execution order or thread scheduling.
+Randomness is organized as keyed streams: a (master_seed, trial_index, role)
+triple seeds its own SFC64 generator through a ``SeedSequence`` spawn key, so
+every trial of an ensemble draws from its own statistically independent stream
+and results never depend on execution order or thread scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import ParameterError, check_index, check_real, check_real_fields
 
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 SEED_BITS = 64
-TRIAL_BITS = 61  # trial_index*8 + role must fit in the uint64 Philox key word
 MAX_STEPS = sys.maxsize // 8  # the longest float64 array numpy can address
 
 
@@ -106,16 +105,14 @@ class NoiseStream:
 
     def __post_init__(self):
         check_index("master_seed", self.master_seed, SEED_BITS)
-        check_index("trial_index", self.trial_index, TRIAL_BITS)
+        check_index("trial_index", self.trial_index, SEED_BITS)
         object.__setattr__(self, "role", Role(self.role))
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.master_seed, self.trial_index * 8 + int(self.role))
-
     def generator(self) -> Generator:
-        """Fresh generator for this stream; identical identity, identical draws."""
-        return Generator(Philox(key=np.array(self.key, dtype=np.uint64)))
+        """Fresh SFC64 generator for this stream, seeded by ``master_seed`` with
+        the spawn key (trial_index, role); identical identity, identical draws."""
+        seed = SeedSequence(self.master_seed, spawn_key=(self.trial_index, int(self.role)))
+        return Generator(SFC64(seed))
 
     def normals(self, n: int, generator: Generator | None = None) -> np.ndarray:
         """First ``n`` standard-normal draws of the stream.
@@ -202,12 +199,13 @@ def simulate_ou(
     """Phase trajectory of the mean-reverting diffusion on the grid.
 
     Uses the exact one-step transition
-        phi[k+1] = phi[k] * exp(-lam*dt) + sqrt(kappa*(1 - exp(-2*lam*dt))/(2*lam)) * z[k]
-    so the sampled law has no discretization bias at any dt. For lam = 0 the
-    same recursion runs with its limits, decay 1 and step sd sqrt(kappa*dt)
-    (pure diffusion), and only a fixed initial value is allowed. A lam > 0 so
-    small that exp(-lam*dt) rounds to 1 is refused: its step variance would
-    round to 0 and phi would stay at its initial draw.
+        phi[k+1] = phi[k] * exp(-lam*dt) + sqrt(-kappa*expm1(-2*lam*dt)/(2*lam)) * z[k]
+    so the sampled law has no discretization bias at any dt; expm1 keeps the
+    step variance's digits where 2*lam*dt is small. For lam = 0 the same
+    recursion runs with its limits, decay 1 and step sd sqrt(kappa*dt) (pure
+    diffusion), and only a fixed initial value is allowed. A lam > 0 so small
+    that exp(-lam*dt) rounds to 1 is refused: the grid cannot resolve its
+    mean reversion.
 
     ``init`` is either the string "stationary" (draw phi[0] from the
     stationary Gaussian of variance kappa/(2*lam)) or a number.
@@ -238,7 +236,7 @@ def simulate_ou(
         raise ParameterError(f"lambda*dt = {lam * dt:.3g} is too small for the grid to "
                              "resolve: exp(-lambda*dt) rounds to 1")
     step_sd = (math.sqrt(params.kappa * dt) if lam == 0 else
-               math.sqrt(params.kappa * (1.0 - math.exp(-2.0 * lam * dt)) / (2.0 * lam)))
+               math.sqrt(-params.kappa * math.expm1(-2.0 * lam * dt) / (2.0 * lam)))
     x = stream.normals(n, generator)
     if last is None:  # x[0] seeds the initial condition in stationary mode
         state = math.sqrt(params.stationary_variance) * x[0] if stationary else init

@@ -112,14 +112,6 @@ class TestAnalytic:
             assert message in err
             assert out == ""
 
-    def test_trials_the_streams_cannot_key_is_one(self, capsys):
-        # checked through analytic, which runs no trial: where the count is not
-        # refused, a command that simulates would start a run that never ends
-        assert run(["analytic", "--trials", str(2**61)], capsys)[0] == 0
-        code, out, err = run(["analytic", "--trials", str(2**61 + 1)], capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("ouphase: error: trials must be at most 2**61")
-
     @pytest.mark.parametrize("flag", [["--format", "csv"], ["--workers", "0"],
                                       ["--dual-mode", "arg"]])
     def test_run_only_flags_rejected(self, flag, tmp_path, capsys):

@@ -180,11 +180,6 @@ class TestConfigValidation:
         with pytest.raises(ParameterError):
             make_config(seed=-1)
 
-    def test_trials_the_streams_cannot_key_rejected(self):
-        assert make_config(trials=2**61).trials == 2**61
-        with pytest.raises(ParameterError, match=r"trials must be at most 2\*\*61"):
-            make_config(trials=2**61 + 1)
-
     def test_bool_trials_rejected(self):
         # a bool is an int; the manifest would echo "trials": true
         for trials in (True, False):
@@ -710,6 +705,21 @@ class TestDrawAhead:
         stream = NoiseStream(5, 3, Role.PHASE_NOISE)
         assert done.stdout == (f"{stream} drew {block + lookahead - 1} normals for a block "
                                f"that reads {block + lookahead}\n")
+
+    def test_a_draw_longer_than_its_buffer_row_is_named(self, cpus, monkeypatch):
+        # refused before it is submitted, not inside numpy on the helper thread
+        cpus(2)
+        lengths = ouphase.experiment._draw_lengths
+        monkeypatch.setattr(ouphase.experiment, "_draw_lengths",
+                            lambda *args: [k + 1 for k in lengths(*args)])
+        before = threading.active_count()
+        block, lookahead = blocking([make_config(duration=MULTI_BLOCK)])
+        stream = NoiseStream(5, 3, Role.PHASE_NOISE)
+        with pytest.raises(RuntimeError) as raised:
+            run_trial(make_config(seed=5, duration=MULTI_BLOCK), 3)
+        assert str(raised.value) == (f"{stream} draws {block + lookahead + 1} normals for a "
+                                     f"block whose buffer row holds {block + lookahead}")
+        assert threading.active_count() == before
 
     def test_no_helper_without_a_free_cpu(self, cpus, monkeypatch):
         cfg = make_config(duration=MULTI_BLOCK)

@@ -75,17 +75,17 @@ class TestNoiseStream:
         with pytest.raises(ParameterError):
             NoiseStream(master_seed=1, trial_index=-1)
 
-    def test_trial_index_fits_the_key(self):
-        # trial_index*8 + role must fit in a uint64 key word
-        last = NoiseStream(master_seed=1, trial_index=2**61 - 1, role=Role.MEASUREMENT_NOISE_2)
-        assert last.key[1] == 2**64 - 8 + 2
-        assert last.normals(3).shape == (3,)
-        with pytest.raises(ParameterError):
-            NoiseStream(master_seed=1, trial_index=2**61)
+    @pytest.mark.parametrize("trial_index", [-1, 2**64])
+    def test_trial_index_outside_the_seed_words_rejected(self, trial_index):
+        with pytest.raises(ParameterError, match="trial_index"):
+            NoiseStream(master_seed=1, trial_index=trial_index)
+        assert NoiseStream(1, 2**64 - 1, Role.MEASUREMENT_NOISE_2).normals(3).shape == (3,)
 
-    def test_keys_unique_per_trial_and_role(self):
-        keys = {stream(trial=t, role=r).key for t in range(3) for r in Role}
-        assert len(keys) == 9
+    def test_streams_distinct_per_trial_and_role_and_fixed_per_identity(self):
+        firsts = {float(stream(trial=t, role=r).normals(1)[0]) for t in range(3) for r in Role}
+        assert len(firsts) == 9
+        twice = [stream(trial=2, role=Role.MEASUREMENT_NOISE).normals(100) for _ in range(2)]
+        assert np.array_equal(*twice)
 
 
 class TestProcessParams:
@@ -167,7 +167,7 @@ class TestSimulateOu:
         s = stream(seed=13)
         decay = math.exp(-lam * dt)
         sd = (math.sqrt(params.kappa * dt) if lam == 0 else
-              math.sqrt(params.kappa * (1 - math.exp(-2 * lam * dt)) / (2 * lam)))
+              math.sqrt(-params.kappa * math.expm1(-2 * lam * dt) / (2 * lam)))
         x = s.normals(g.n_steps)
         x0 = math.sqrt(params.stationary_variance) * x[0] if lam > 0 else init
         x *= sd
@@ -185,6 +185,17 @@ class TestSimulateOu:
             blocks.append(simulate_ou(params, g, s, init, generator, steps, last))
             last = blocks[-1][-1]
         assert np.array_equal(np.concatenate(blocks), simulate_ou(params, g, s, init=init))
+
+    @pytest.mark.parametrize("lam, dt", [(1e-8, 2e-8), (6.1451e4, 2e-8), (6.1451e4, 5e-9)])
+    def test_step_sd_is_exact_at_small_reversion(self, lam, dt):
+        # unit draws from a fixed init of 0 make phi[1] the step sd itself;
+        # 1 - exp(-2*lam*dt) would read 11 % high at lam = 1e-8 /s, dt = 2e-8 s
+        params = ProcessParams(kappa=1.5868e4, lam=lam, flux=1e6)
+        ones = types.SimpleNamespace(standard_normal=np.ones)
+        phi = simulate_ou(params, SimGrid(dt=dt, duration=4 * dt), stream(), 0.0, ones)
+        sd = math.sqrt(-params.kappa * math.expm1(-2 * lam * dt) / (2 * lam))
+        assert phi[0] == 0.0
+        assert phi[1] == pytest.approx(sd, rel=1e-15)
 
     @pytest.mark.parametrize("steps", [0, -1, True])
     def test_steps_below_one_refused_before_any_draw(self, ap_params, steps):
@@ -267,8 +278,7 @@ class TestSimulateOu:
 
     @pytest.mark.parametrize("lam", [1e-30, 1e-300, 2.2e-308, 5e-324])
     def test_reversion_the_grid_cannot_resolve_rejected(self, lam):
-        # exp(-lam*dt) rounds to 1 and the step variance to 0: phi would stay at
-        # its stationary draw, of sd sqrt(kappa/(2*lam)), for the whole trial
+        # exp(-lam*dt) rounds to 1: the grid cannot resolve the reversion
         params = ProcessParams(kappa=1.5868e4, lam=lam, flux=1.3499e6)
         with pytest.raises(ParameterError, match="too small for the grid"):
             simulate_ou(params, SimGrid(dt=2e-8, duration=2e-4), stream())
