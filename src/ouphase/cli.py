@@ -236,11 +236,11 @@ def _json_text(payload: dict) -> str:
 
 
 def _check_destination(destination: str):
-    """Fails as ``_write`` would if ``destination`` is a directory or its
-    directory is missing, so that a typo in --out costs no run; creates no file."""
+    """Fails as ``_write`` would if ``destination`` is empty, a directory or in a
+    missing directory, so that a typo in --out costs no run; creates no file."""
     if os.path.isdir(destination):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), destination)
-    if not os.path.isdir(os.path.dirname(destination) or "."):
+    if not destination or not os.path.isdir(os.path.dirname(destination) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), destination)
 
 
@@ -312,7 +312,7 @@ def _cmd_analytic(args) -> int:
             print(f"{name:<20} {value}")
         else:
             print(f"{name:<20} {value:.9g}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, _json_text(table))
     return 0
 
@@ -320,7 +320,7 @@ def _cmd_analytic(args) -> int:
 def _emit(args, reports, config=None, extra=None) -> int:
     """The tail of every command that simulates: the table, and --out if given."""
     _print_conditions(reports)
-    if args.out:
+    if args.out is not None:
         emit_results(reports, args.format, args.out, build_manifest(reports, config, extra))
     return 0
 
@@ -417,7 +417,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.out:
+        if args.out is not None:
             _check_destination(args.out)
         return args.handler(args)
     except ParameterError as exc:

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 from operator import attrgetter
 
@@ -543,19 +543,20 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     the configs share (``run_trials``): common random numbers across them.
 
     The configs may differ in ``trials``: trial index i runs under the configs
-    with more than i trials, and each report folds its own config's first
-    ``trials`` indices, so it equals ``run_ensemble`` of that config.
+    with more than i trials, and each report folds its own config's samples at
+    the first ``trials`` indices (its [k, :, :trials] slice), so it equals
+    ``run_ensemble`` of that config.
 
     A serial run is one loop over the trial indices; ``workers > 1`` maps
     chunks of TRIAL_CHUNK consecutive indices over one process pool of
     min(workers, chunk count, CPU count) processes, each chunk a loop of its
-    own. Results are identical either way, because aggregation folds in
-    trial-index order. Each loop owns one draw pipeline (``run_trials``): its
-    helper thread draws ahead across the loop's trials, the next trial's
-    first block during this one's last, and ends before the loop does, also
-    on error. A pool worker starts one only if the CPU count is at least
-    twice the pool's size. Each config's theory and trial count are checked
-    before any trial runs.
+    own, and joins the chunks' ``_run_indices`` arrays in index order: the
+    samples, so the results, are identical either way. Each loop owns one
+    draw pipeline (``run_trials``): its helper thread draws ahead across the
+    loop's trials, the next trial's first block during this one's last, and
+    ends before the loop does, also on error. A pool worker starts one only
+    if the CPU count is at least twice the pool's size. Each config's theory
+    and trial count are checked before any trial runs.
     """
     configs = _check_shared(configs)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -573,11 +574,11 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
         size = min(workers, len(chunks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=size, initializer=_share_cpus,
                                  initargs=(size,)) as pool:
-            rows = list(itertools.chain.from_iterable(pool.map(task, chunks)))
+            samples = np.concatenate(list(pool.map(task, chunks)), axis=2)
     else:
-        rows = task(range(trials))
-    return [_report(config, results[:config.trials], theory)
-            for config, results, theory in zip(configs, zip(*rows), theories)]
+        samples = task(range(trials))
+    return [_report(config, rows[:, :config.trials], theory)
+            for config, rows, theory in zip(configs, samples, theories)]
 
 
 def _share_cpus(processes: int) -> None:
@@ -586,24 +587,23 @@ def _share_cpus(processes: int) -> None:
     _processes = processes
 
 
-def _run_indices(configs: list[ExperimentConfig], indices: range) -> list[list[TrialResult | None]]:
-    """Each trial of ``indices`` under the configs with more trials than its
-    index, None in the place of each other config; one draw pipeline serves
-    them all."""
-    rows = []
+def _run_indices(configs: list[ExperimentConfig], indices: range) -> np.ndarray:
+    """Trials ``indices`` as one float64 array of shape (configs, 3, indices): [k, :, j]
+    is configs[k]'s filtered, smoothed and backward MSE at indices[j], NaN where
+    configs[k] has no more trials than that index. One draw pipeline serves them all."""
+    samples = np.full((len(configs), 3, len(indices)), np.nan)
     with _DrawPipeline(indices.stop):
-        for i in indices:
+        for j, i in enumerate(indices):
             run = [config for config in configs if config.trials > i]
             # one config calls run_trial by its global name, which bench/tracer.py wraps
-            results = iter([run_trial(run[0], i)] if len(run) == 1 else run_trials(run, i))
-            rows.append([next(results) if config.trials > i else None for config in configs])
-    return rows
+            results = [run_trial(run[0], i)] if len(run) == 1 else run_trials(run, i)
+            samples[[config.trials > i for config in configs], :, j] = list(map(astuple, results))
+    return samples
 
 
-def _report(config: ExperimentConfig, results, theory: dict[str, float]) -> VarianceReport:
-    filtered, smoothed, backward = (
-        _condition(config, mode, [getattr(r, f"{mode}_mse") for r in results], analytic)
-        for mode, analytic in theory.items())
+def _report(config: ExperimentConfig, rows: np.ndarray, theory: dict[str, float]) -> VarianceReport:
+    filtered, smoothed, backward = (_condition(config, mode, row, analytic)
+                                    for row, (mode, analytic) in zip(rows, theory.items()))
     return VarianceReport(config=config, conditions=(filtered, smoothed), backward=backward)
 
 

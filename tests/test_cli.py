@@ -366,6 +366,18 @@ class TestExitCodes:
         assert calls == {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
         assert [p.name for p in tmp_path.iterdir()] == []
 
+    @pytest.mark.parametrize("command", [["simulate"], ["analytic"]], ids=lambda c: c[0])
+    def test_empty_destination_is_one_before_any_trial(self, command, tmp_path, capsys,
+                                                       monkeypatch):
+        # an empty --out names no file, as open("") says: it is not the same as no --out
+        calls = count_draws(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([*command, *FAST, "--out", ""], capsys)
+        assert (code, out) == (1, "")
+        assert err == "ouphase: i/o error: [Errno 2] No such file or directory: ''\n"
+        assert calls == {"simulate_ou": 0, "wiener_increments": 0, "run_dual_homodyne": 0}
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     @pytest.mark.parametrize("workers", ["-3", "0"])
     def test_bad_workers_is_one(self, workers, capsys):
         code, _, err = run(["simulate", *FAST, "--workers", workers], capsys)

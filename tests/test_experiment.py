@@ -802,6 +802,18 @@ class TestRunEnsemble:
         cfg = make_config(trials=30, duration=5e-4)
         assert run_ensemble(cfg, workers=1) == run_ensemble(cfg, workers=WORKERS)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_report_is_numpy_of_its_own_trials_bit_for_bit(self, workers):
+        # each mode's mean and stderr are those of its run_trial samples, in
+        # index order, to the last bit
+        cfg = make_config(trials=30, duration=5e-4)
+        samples = zip(*(as_list(run_trial(cfg, i)) for i in range(30)))
+        rep = run_ensemble(cfg, workers=workers)
+        for mode, values in zip(("filtered", "smoothed", "backward"), samples):
+            condition = rep.condition(mode)
+            assert condition.mc_mse == float(np.mean(values))
+            assert condition.mc_stderr == float(np.std(values, ddof=1) / math.sqrt(30))
+
     def test_degenerate_ensemble_rejected(self, silent_trials):
         with pytest.raises(StatisticsError):
             run_ensemble(make_config())
@@ -1022,8 +1034,13 @@ class TestRunEnsembles:
             cpus(count)
             assert run_ensembles([a, b], workers=workers) == separate, (count, workers)
         cpus(2)
-        rows = ouphase.experiment._run_indices([a, b], range(40))
-        assert rows == [[run_trial(a, i), run_trial(b, i) if i < 30 else None] for i in range(40)]
+        samples = ouphase.experiment._run_indices([a, b], range(40))
+        assert (samples.dtype, samples.shape) == (np.float64, (2, 3, 40))
+        for k, config in enumerate([a, b]):
+            trials = samples[k].T  # one row of three MSE samples per index
+            assert trials[:config.trials].tolist() == [as_list(run_trial(config, i))
+                                                       for i in range(config.trials)]
+            assert np.isnan(trials[config.trials:]).all()
 
     def test_every_config_needs_enough_trials(self, monkeypatch):
         calls = count_draws(monkeypatch)
