@@ -51,3 +51,9 @@ def check_index(name: str, value, bits: int):
     """ParameterError unless ``value`` is an int (``bool`` excluded) in [0, 2**bits)."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**bits:
         raise ParameterError(f"{name} must be an integer in [0, 2**{bits})")
+
+
+def check_count(name: str, value):
+    """ParameterError unless ``value`` is an int (``bool`` excluded) >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")

@@ -15,8 +15,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, replace
-from functools import partial
-from operator import attrgetter
+from functools import partial, reduce
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from . import analytics
 from .detection import FeedbackParams, arg_theta, feedback_estimate, linearized_theta
 from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench/tracer.py wraps them
 from .errors import ParameterError, StatisticsError
-from .errors import check_index, check_real_fields
+from .errors import check_count, check_index, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
 from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
@@ -47,9 +47,9 @@ __all__ = [
 MIN_TRIALS_FOR_STDERR = 30
 TRIAL_CHUNK = 8  # trial indices per pool task
 MIN_BLOCK = 2 ** 17  # samples per block of a trial, at least
+SUM_CHUNK = 8192  # samples per buffer of einsum's sums, whatever np.getbufsize() says
 LOOKAHEAD_DECAYS = 40.0  # backward-average time constants each block looks ahead
 _THETA_KEY = attrgetter("scheme", "dual_mode", "n_eff")  # configs with one key share theta
-_processes = 1  # processes running trials at once: a pool's initializer sets its size
 _pipeline = ContextVar("pipeline", default=None)  # the _DrawPipeline of the loop at hand
 
 
@@ -88,8 +88,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         flux = analytics.effective_flux(self.params, self.scheme)  # checks the scheme
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError("trials must be an integer >= 1")
+        check_count("trials", self.trials)
         check_index("master_seed", self.master_seed, SEED_BITS)
         if self.dual_mode not in ("linearized", "arg"):
             raise ParameterError(f"unknown dual_mode: {self.dual_mode!r}")
@@ -277,10 +276,11 @@ class _ConfigTrial:
     recursions carry across blocks, and ff, bb and fb, the sums of products
     of its forward and backward errors over the window.
 
-    One einsum over a window adds the sums of its consecutive chunks of
-    np.getbufsize() samples in turn. The blocks are summed chunk for chunk in
-    the same way, and a chunk that a block boundary cuts is joined first, laid
-    out in memory as in one piece, so the sums do not depend on the blocks.
+    The window sums add the sums of its chunks of SUM_CHUNK samples in turn,
+    as one einsum over the window does whatever np.getbufsize() says: a chunk
+    that a block boundary cut is joined first, laid out in memory as in one
+    piece, and a block's whole chunks are the rows of one einsum per product.
+    So the sums do not depend on the blocks.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -288,7 +288,6 @@ class _ConfigTrial:
         self.forward_start = None  # the forward average at the sample before the block
         self.loop_start = 0.0      # phihat at the block's first sample
         self.sums = [0.0, 0.0, 0.0]
-        self.started = False
         self.cut = None  # the errors of the chunk the last block boundary cut
 
     def block(self, source: np.ndarray, phi: np.ndarray, s: int, e: int, ahead: int):
@@ -321,28 +320,26 @@ class _ConfigTrial:
 
     def _moments(self, f, b, last: bool):
         """The errors of the window's next samples; ``last`` if they end it."""
-        if last and not self.started:
-            self._add(f, b)  # the whole window: one einsum, as in one block
-            return
-        self.started = True
-        chunk = np.getbufsize()
         if self.cut is not None:
-            k = chunk - len(self.cut[0])
+            k = SUM_CHUNK - len(self.cut[0])
             (f_cut, b_cut), self.cut = self.cut, None
             f_cut, b_cut, f, b = _joined(f_cut, f[:k]), _joined(b_cut, b[:k]), f[k:], b[k:]
-            if len(f_cut) < chunk and not last:
+            if len(f_cut) < SUM_CHUNK and not last:
                 self.cut = f_cut, b_cut
                 return
-            self._add(f_cut, b_cut)
-        for i in range(0, len(f), chunk):
-            if len(f) - i < chunk and not last:
-                self.cut = _joined(f[:0], f[i:]), _joined(b[:0], b[i:])
-                return
-            self._add(f[i:i + chunk], b[i:i + chunk])
+            self._add(f_cut[None], b_cut[None])
+        whole = len(f) - len(f) % SUM_CHUNK
+        self._add(f[:whole].reshape(-1, SUM_CHUNK), b[:whole].reshape(-1, SUM_CHUNK))
+        f, b = f[whole:], b[whole:]
+        if len(f) and last:  # the tail: one more row at the window's end, else the next cut
+            self._add(f[None], b[None])
+        elif len(f):
+            self.cut = _joined(f[:0], f), _joined(b[:0], b)
 
     def _add(self, f, b):
+        """Adds the sums of the rows of f and b, in turn."""
         # einsum's own loop, not BLAS: a BLAS dot would start its worker threads
-        self.sums = [total + float(np.einsum("i,i->", x, y))
+        self.sums = [reduce(add, np.einsum("ij,ij->i", x, y).tolist(), total)
                      for total, (x, y) in zip(self.sums, ((f, f), (b, b), (f, b)))]
 
 
@@ -387,12 +384,14 @@ class _DrawPipeline:
     trials): the loop runs those under the same configs, so with the same
     streams and ``_draw_lengths``, and each stream's last draw of a trial is
     followed by the next trial's first, into the same buffer row. The helper
-    starts with the first trial of more blocks that has a CPU free for it,
-    and ends when the ``with`` block does, also on error.
+    starts with the first trial of more blocks that has a CPU free for it (the
+    CPU count is at least twice ``processes``, the processes running trials at
+    once), and ends when the ``with`` block does, also on error.
     """
 
-    def __init__(self, stop: int = 0):
+    def __init__(self, stop: int = 0, processes: int = 1):
         self._stop = stop
+        self._processes = processes
         self._helper = None
         self._held = np.empty((0, 0))
         self._noise = []  # each stream's _StreamAhead
@@ -421,7 +420,7 @@ class _DrawPipeline:
             rows = 2 + (len(streams) if blocks > 1 else 0)
             if self._held.shape != (rows, width):
                 self._held = np.empty((rows, width))
-            if blocks > 1 and not self._helper and (os.cpu_count() or 1) >= 2 * _processes:
+            if blocks > 1 and not self._helper and (os.cpu_count() or 1) >= 2 * self._processes:
                 self._helper = ThreadPoolExecutor(max_workers=1)
             self._end = min(self._stop, *(config.trials for config in configs))
             indices = [trial_index, *range(trial_index + 1, self._end)]
@@ -554,45 +553,39 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     samples, so the results, are identical either way. Each loop owns one
     draw pipeline (``run_trials``): its helper thread draws ahead across the
     loop's trials, the next trial's first block during this one's last, and
-    ends before the loop does, also on error. A pool worker starts one only
-    if the CPU count is at least twice the pool's size. Each config's theory
-    and trial count are checked before any trial runs.
+    ends before the loop does, also on error. Each pool task is handed the
+    pool's size, and starts a helper only if the CPU count is at least twice
+    that. Each config's theory and trial count are checked before any trial runs.
     """
     configs = _check_shared(configs)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
+    check_count("workers", workers)
     theories = [{mode: analytics.analytic_mse(config, mode)
                  for mode in ("filtered", "smoothed", "backward")} for config in configs]
     fewest = min(config.trials for config in configs)
     if fewest < MIN_TRIALS_FOR_STDERR:
         raise StatisticsError(f"{fewest} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
     trials = max(config.trials for config in configs)
-    task = partial(_run_indices, configs)
     if workers > 1:
         chunks = [range(i, min(i + TRIAL_CHUNK, trials)) for i in range(0, trials, TRIAL_CHUNK)]
         # a fork pool starts all its processes at once: no more than can get work
         size = min(workers, len(chunks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=size, initializer=_share_cpus,
-                                 initargs=(size,)) as pool:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            task = partial(_run_indices, configs, processes=size)
             samples = np.concatenate(list(pool.map(task, chunks)), axis=2)
     else:
-        samples = task(range(trials))
+        samples = _run_indices(configs, range(trials))
     return [_report(config, rows[:, :config.trials], theory)
             for config, rows, theory in zip(configs, samples, theories)]
 
 
-def _share_cpus(processes: int) -> None:
-    """A pool worker's initializer: ``processes`` processes run trials at once."""
-    global _processes
-    _processes = processes
-
-
-def _run_indices(configs: list[ExperimentConfig], indices: range) -> np.ndarray:
+def _run_indices(configs: list[ExperimentConfig], indices: range,
+                 processes: int = 1) -> np.ndarray:
     """Trials ``indices`` as one float64 array of shape (configs, 3, indices): [k, :, j]
-    is configs[k]'s filtered, smoothed and backward MSE at indices[j], NaN where
-    configs[k] has no more trials than that index. One draw pipeline serves them all."""
+    is configs[k]'s filtered, smoothed and backward MSE at indices[j], NaN where configs[k]
+    has no more trials than that index. One draw pipeline serves them all; ``processes``,
+    the processes running trials at once (a pool's size), sets its CPU rule."""
     samples = np.full((len(configs), 3, len(indices)), np.nan)
-    with _DrawPipeline(indices.stop):
+    with _DrawPipeline(indices.stop, processes):
         for j, i in enumerate(indices):
             run = [config for config in configs if config.trials > i]
             # one config calls run_trial by its global name, which bench/tracer.py wraps

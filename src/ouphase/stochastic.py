@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .errors import ParameterError, check_index, check_real, check_real_fields
+from .errors import ParameterError, check_count, check_index, check_real, check_real_fields
 
 __all__ = [
     "Role",
@@ -217,8 +217,8 @@ def simulate_ou(
     the sample before it, in place of ``init``. The blocks joined are the
     one-call trajectory, bit for bit.
     """
-    if steps is not None and (isinstance(steps, bool) or not isinstance(steps, int) or steps < 1):
-        raise ParameterError(f"steps must be an integer >= 1, got {steps!r}")
+    if steps is not None:
+        check_count("steps", steps)
     n = grid.n_steps if steps is None else steps
     dt = grid.dt
     stationary = isinstance(init, str)

@@ -77,8 +77,8 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            sizes.append(max_workers)  # the serial map runs in this process: no initializer
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self

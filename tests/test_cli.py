@@ -602,7 +602,7 @@ class TestExitCodes:
 
     def test_broken_pool_is_three(self, monkeypatch, capsys):
         class BrokenPool:
-            def __init__(self, max_workers, initializer=None, initargs=()):
+            def __init__(self, max_workers):
                 pass
 
             def __enter__(self):
