@@ -163,7 +163,7 @@ def optimal_rate(params: ProcessParams, mode: str, scheme: str = "adaptive") -> 
 def sql_mse(params: ProcessParams) -> float:
     """Standard quantum limit: ideal non-adaptive filtering in the small-xi
     limit, sqrt(kappa/(N/2))/2."""
-    return math.sqrt(params.kappa / (params.flux / 2.0)) / 2.0
+    return math.sqrt(params.kappa / effective_flux(params, "dual_homodyne")) / 2.0
 
 
 def optimal_beta(chi: float, flux: float) -> float:
@@ -176,7 +176,10 @@ def optimal_beta(chi: float, flux: float) -> float:
 def xi(params: ProcessParams) -> float:
     """Dimensionless regime parameter lam/(2*sqrt(kappa*N)); the limit-form
     optima hold for xi << 1."""
-    return params.lam / limit_chi(params, "adaptive")
+    chi = limit_chi(params, "adaptive")
+    if chi == 0.0:  # kappa*N underflows
+        raise ParameterError("xi is not finite at these parameters")
+    return params.lam / chi
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,14 @@ def _check_phi(phi, grid: SimGrid) -> np.ndarray:
     return phi
 
 
+def _check_lengths(phi, **increments) -> None:
+    """ParameterError unless each of ``increments`` has phi's shape."""
+    for name, dW in increments.items():
+        if np.shape(dW) != np.shape(phi):
+            raise ParameterError(f"{name} must have phi's length: {name} has {np.size(dW)} "
+                                 f"samples, phi {np.size(phi)}")
+
+
 def linearized_theta(phi, dW, flux: float, dt: float) -> np.ndarray:
     """Instantaneous estimate of a linearized detector of effective flux N',
     ``theta[k] = phi[k] + dW[k] / (dt * 2*sqrt(N'))`` for equal-length arrays
@@ -94,6 +102,7 @@ def linearized_theta(phi, dW, flux: float, dt: float) -> np.ndarray:
     for any phihat: the loop estimate cancels. Adaptive detection (N' = N)
     and dual homodyne (N' = N/2, second arm's noise) differ only in N'.
     """
+    _check_lengths(phi, dW=dW)
     root = 2.0 * math.sqrt(check_real("flux", flux, above=0.0))
     theta = dW / (check_real("dt", dt, above=0.0) * root)
     theta += phi
@@ -109,10 +118,11 @@ def feedback_estimate(theta, fb: FeedbackParams, dt: float, start: float = 0.0) 
     A loop started at the first sample starts from 0. To continue a run whose
     phihat is known up to sample k, pass theta from sample k on and that
     run's phihat[k]: the result is the one-call phihat from k on, bit for bit.
+    ``start`` is a finite real.
     """
     fb.check_step(dt)
     a = 1.0 - (fb.omega0 + fb.beta) * dt
-    return _first_order([0.0, fb.beta * dt], a, theta, start)
+    return _first_order([0.0, fb.beta * dt], a, theta, check_real("start", start))
 
 
 def run_adaptive_loop(
@@ -159,6 +169,7 @@ def arg_theta(phi, dW1, dW2, flux: float, dt: float) -> np.ndarray:
     variance statistics. Its small-angle form is ``linearized_theta`` at N'
     with the second arm's noise; trials of ``dual_mode="arg"`` run this one.
     """
+    _check_lengths(phi, dW1=dW1, dW2=dW2)
     amp = 2.0 * math.sqrt(check_real("flux", flux, above=0.0))
     dt = check_real("dt", dt, above=0.0)
     plus = amp * np.cos(phi) + dW1 / dt

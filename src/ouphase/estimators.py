@@ -96,9 +96,11 @@ def causal_exponential_average(series, chi: float, dt: float,
     where ``start`` None means x[0], so that y[0] = x[0]. The (1-a) input
     weight makes the DC gain exactly 1 at any chi*dt. A series averaged in
     consecutive pieces, each started at its predecessor's last average, is
-    the one-call average, bit for bit.
+    the one-call average, bit for bit. A given ``start`` is a finite real.
     """
     chi, dt = _check_rate(chi, dt)
+    if start is not None:
+        start = check_real("start", start)
     x = np.asarray(series, dtype=float)
     if x.size == 0:
         return x.copy()
@@ -126,9 +128,12 @@ def apply_estimators(series, params: EstimatorParams, grid: SimGrid, start: floa
     ``lookahead`` samples, the start of the next block, feed only the
     backward average, which stops short of them. The backward average at
     the block's end then misses the weight exp(-chi_plus*dt*lookahead) of
-    the samples past it.
+    the samples past it. ``lookahead`` is an int in [0, len(series)].
     """
     x = np.asarray(series, dtype=float)
+    if isinstance(lookahead, bool) or not isinstance(lookahead, int) or not 0 <= lookahead <= len(x):
+        raise ParameterError(f"lookahead must be an integer in [0, {len(x)}], the series' "
+                             f"length, got {lookahead!r}")
     n = len(x) - lookahead
     return (causal_exponential_average(x[:n], params.chi_minus, grid.dt, start),
             anticausal_exponential_average(x, params.chi_plus, grid.dt)[:n])

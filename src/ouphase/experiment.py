@@ -24,7 +24,7 @@ from . import analytics
 from .detection import FeedbackParams, arg_theta, feedback_estimate, linearized_theta
 from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench/tracer.py wraps them
 from .errors import ParameterError, StatisticsError
-from .errors import check_count, check_index, check_real_fields
+from .errors import check_count, check_index, check_real, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
 from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
@@ -140,11 +140,12 @@ def default_edge_discard(chi_min: float, beta: float | None, lam: float, span: f
     The 3/lam term removes spans correlated with the trajectory ends; it only
     applies when it fits within a quarter of the retained span per side,
     otherwise the run is shorter than the phase coherence time (effectively
-    pure diffusion) and the term is meaningless.
+    pure diffusion) and the term is meaningless. Rates are finite, lam >= 0.
     """
-    edge = 5.0 / chi_min
+    edge = 5.0 / check_real("chi_min", chi_min, above=0.0)
     if beta is not None:
-        edge = max(edge, 5.0 / beta)
+        edge = max(edge, 5.0 / check_real("beta", beta, above=0.0))
+    lam = check_real("lam", lam, at_least=0.0)
     if lam > 0 and 3.0 / lam <= span / 4.0:
         edge = max(edge, 3.0 / lam)
     return edge
@@ -210,8 +211,8 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     freed after the last run that reads them. The draws come from the draw
     pipeline (``_DrawPipeline``) of the loop the trial is part of: a serial
     pass of ``run_ensembles`` or one pool task of it, or else one of the
-    trial's own. With a CPU free for it (the CPU count is at least twice the
-    number of processes running trials), a trial of more blocks draws the
+    trial's own. With a CPU free for it (the usable CPUs, ``_cpus()``, are at
+    least twice the processes running trials), a trial of more blocks draws the
     next block on the pipeline's helper thread while it runs the block at
     hand, and its last block draws the first block of the loop's next trial
     if that trial runs the same configs; otherwise a block's draw runs when
@@ -372,6 +373,13 @@ def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
     return [end - start for start, end in zip([0, *ends], ends)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _DrawPipeline:
     """The draws of a loop over consecutive trial indices: a serial pass of
     ``run_ensembles``, one pool task of it, or a trial of its own. It holds
@@ -385,8 +393,8 @@ class _DrawPipeline:
     streams and ``_draw_lengths``, and each stream's last draw of a trial is
     followed by the next trial's first, into the same buffer row. The helper
     starts with the first trial of more blocks that has a CPU free for it (the
-    CPU count is at least twice ``processes``, the processes running trials at
-    once), and ends when the ``with`` block does, also on error.
+    usable CPUs, ``_cpus()``, are at least twice ``processes``, the processes
+    running trials at once), and ends with the ``with`` block, also on error.
     """
 
     def __init__(self, stop: int = 0, processes: int = 1):
@@ -420,7 +428,7 @@ class _DrawPipeline:
             rows = 2 + (len(streams) if blocks > 1 else 0)
             if self._held.shape != (rows, width):
                 self._held = np.empty((rows, width))
-            if blocks > 1 and not self._helper and (os.cpu_count() or 1) >= 2 * self._processes:
+            if blocks > 1 and not self._helper and _cpus() >= 2 * self._processes:
                 self._helper = ThreadPoolExecutor(max_workers=1)
             self._end = min(self._stop, *(config.trials for config in configs))
             indices = [trial_index, *range(trial_index + 1, self._end)]
@@ -546,16 +554,16 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     the first ``trials`` indices (its [k, :, :trials] slice), so it equals
     ``run_ensemble`` of that config.
 
-    A serial run is one loop over the trial indices; ``workers > 1`` maps
-    chunks of TRIAL_CHUNK consecutive indices over one process pool of
-    min(workers, chunk count, CPU count) processes, each chunk a loop of its
-    own, and joins the chunks' ``_run_indices`` arrays in index order: the
-    samples, so the results, are identical either way. Each loop owns one
-    draw pipeline (``run_trials``): its helper thread draws ahead across the
-    loop's trials, the next trial's first block during this one's last, and
-    ends before the loop does, also on error. Each pool task is handed the
-    pool's size, and starts a helper only if the CPU count is at least twice
-    that. Each config's theory and trial count are checked before any trial runs.
+    The pool size is min(workers, count of chunks of TRIAL_CHUNK consecutive
+    indices, usable CPUs (``_cpus()``)). A pool of one is the serial run, one
+    loop over the trial indices; a larger one maps the chunks over a process
+    pool, each chunk a loop of its own, and joins the chunks' ``_run_indices``
+    arrays in index order: the samples, so the results, are identical either
+    way. Each loop owns one draw pipeline (``run_trials``): its helper thread
+    draws ahead across the loop's trials, the next trial's first block during
+    this one's last, and ends before the loop does, also on error. Each pool
+    task is handed the pool's size, and starts a helper only if the usable
+    CPUs are at least twice that. Each config's theory and trials are checked first.
     """
     configs = _check_shared(configs)
     check_count("workers", workers)
@@ -565,10 +573,10 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     if fewest < MIN_TRIALS_FOR_STDERR:
         raise StatisticsError(f"{fewest} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
     trials = max(config.trials for config in configs)
-    if workers > 1:
-        chunks = [range(i, min(i + TRIAL_CHUNK, trials)) for i in range(0, trials, TRIAL_CHUNK)]
-        # a fork pool starts all its processes at once: no more than can get work
-        size = min(workers, len(chunks), os.cpu_count() or 1)
+    chunks = [range(i, min(i + TRIAL_CHUNK, trials)) for i in range(0, trials, TRIAL_CHUNK)]
+    # a fork pool starts all its processes at once: no more than can get work
+    size = min(workers, len(chunks), _cpus())
+    if size > 1:
         with ProcessPoolExecutor(max_workers=size) as pool:
             task = partial(_run_indices, configs, processes=size)
             samples = np.concatenate(list(pool.map(task, chunks)), axis=2)
@@ -583,7 +591,7 @@ def _run_indices(configs: list[ExperimentConfig], indices: range,
     """Trials ``indices`` as one float64 array of shape (configs, 3, indices): [k, :, j]
     is configs[k]'s filtered, smoothed and backward MSE at indices[j], NaN where configs[k]
     has no more trials than that index. One draw pipeline serves them all; ``processes``,
-    the processes running trials at once (a pool's size), sets its CPU rule."""
+    the processes running trials at once (the pool's size, 1 serially), sets its CPU rule."""
     samples = np.full((len(configs), 3, len(indices)), np.nan)
     with _DrawPipeline(indices.stop, processes):
         for j, i in enumerate(indices):

@@ -214,8 +214,8 @@ def simulate_ou(
     recursion's state instead of replaying the stream: every call gets the
     same ``generator`` (one ``stream.generator()``) and its block's length
     ``steps``, and every block after the first gets ``last``, the phase at
-    the sample before it, in place of ``init``. The blocks joined are the
-    one-call trajectory, bit for bit.
+    the sample before it, in place of ``init``; a finite real. The blocks
+    joined are the one-call trajectory, bit for bit.
     """
     if steps is not None:
         check_count("steps", steps)
@@ -229,6 +229,8 @@ def simulate_ou(
             raise ParameterError("stationary init undefined for lam = 0")
     else:
         init = check_real("fixed init", init)
+    if last is not None:
+        last = check_real("last", last)
 
     lam = params.lam
     decay = math.exp(-lam * dt)  # 1 for pure diffusion

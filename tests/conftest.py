@@ -7,7 +7,7 @@ import pytest
 import ouphase.experiment
 from ouphase import NoiseStream, ProcessParams
 
-WORKERS = min(2, os.cpu_count() or 1)
+WORKERS = min(2, ouphase.experiment._cpus())
 
 THREADED_FORKS = []  # the Python thread count at each fork that had more than one
 

@@ -273,6 +273,14 @@ class TestScalingsAndRatios:
     def test_xi_pure_diffusion(self):
         assert xi(ProcessParams(kappa=1e4, lam=0.0, flux=1e6)) == 0.0
 
+    def test_xi_whose_rate_underflows_is_refused(self):
+        with pytest.raises(ParameterError, match="xi is not finite"):
+            xi(ProcessParams(kappa=5e-324, lam=6.1451e4, flux=0.1))  # 2*sqrt(kappa*N) = 0
+
+    def test_sql_whose_half_flux_underflows_is_refused(self):
+        with pytest.raises(ParameterError, match="flux/2"):
+            sql_mse(ProcessParams(kappa=1e4, lam=0.0, flux=5e-324))  # N/2 = 0
+
     def test_improvement_ratios(self, ap_params):
         r = improvement_ratios(ap_params)
         assert r.total_gain_limit == pytest.approx(2 * math.sqrt(2), abs=1e-14)

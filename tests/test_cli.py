@@ -540,7 +540,9 @@ class TestExitCodes:
         (["--lambda", "1e200"], "smoothing_gain"),  # (chi + lam)**2 overflows
         (["--kappa", "1e300"], "mse_star_smoothed"),  # the optimum's MSE is inf
         (["--kappa", "5e-324"], "adaptive_gain"),  # sqrt(kappa/N) underflows to 0
-    ], ids=["overflow", "inf", "underflow"])
+        # 2*sqrt(kappa*N) underflows to 0: xi = lam/0
+        (["--kappa", "5e-324", "--flux", "0.1", "--scheme", "dual_homodyne"], "xi"),
+    ], ids=["overflow", "inf", "underflow", "xi-underflow"])
     def test_non_finite_analytic_row_is_one(self, args, row, tmp_path, capsys):
         # refused before a row is printed or a non-JSON "Infinity" is written
         dest = tmp_path / "analytic.json"
@@ -615,6 +617,7 @@ class TestExitCodes:
                 raise BrokenProcessPool("a worker died")
 
         monkeypatch.setattr("ouphase.experiment.ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr("ouphase.experiment._cpus", lambda: 2)  # a pool, on any machine
         code, _, err = run(["simulate", *FAST, "--workers", "2"], capsys)
         assert code == 3
         assert "resource error: a worker died" in err
@@ -623,7 +626,7 @@ class TestExitCodes:
 class TestWorkerPool:
     @pytest.fixture(autouse=True)
     def many_cpus(self, monkeypatch):
-        monkeypatch.setattr("ouphase.experiment.os.cpu_count", lambda: 64)
+        monkeypatch.setattr("ouphase.experiment._cpus", lambda: 64)
 
     def test_pool_no_larger_than_the_work(self, pool_sizes, capsys):
         # 30 trials are 4 chunks of 8: a fork pool would start all 5000 processes

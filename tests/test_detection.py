@@ -127,6 +127,11 @@ class TestAdaptiveLoop:
         for k in (1, 20001):
             assert np.array_equal(feedback_estimate(theta[k:], fb, g.dt, phihat[k]), phihat[k:])
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, None, "a", True])
+    def test_feedback_start_is_a_finite_real(self, start):
+        with pytest.raises(ParameterError, match="start"):
+            feedback_estimate(np.zeros(10), FeedbackParams(beta=BETA_OP), 2e-8, start)
+
     def test_instability_rejected(self, ap_params):
         g = SimGrid(dt=1e-6, duration=1e-3)
         fb = FeedbackParams(beta=6e5)  # beta*dt = 0.6
@@ -189,6 +194,15 @@ class TestDualHomodyne:
         dW1 = np.array([-4.0 * math.sqrt(flux) * dt, 0.0])
         theta = arg_theta(np.array([-0.0, 0.0]), dW1, np.array([-0.0, 0.0]), flux, dt)
         assert np.array_equal(theta, [np.pi, 0.0])
+
+    @pytest.mark.parametrize("model, name", [
+        (lambda phi, dW: linearized_theta(phi, dW, 1e6, 2e-8), "dW"),
+        (lambda phi, dW: arg_theta(phi, dW, np.zeros(3), 1e6, 2e-8), "dW1"),
+        (lambda phi, dW: arg_theta(phi, np.zeros(3), dW, 1e6, 2e-8), "dW2"),
+    ], ids=["linearized", "arg-dW1", "arg-dW2"])
+    def test_increments_of_another_length_are_refused(self, model, name):
+        with pytest.raises(ParameterError, match=f"{name} has 4 samples, phi 3"):
+            model(np.zeros(3), np.zeros(4))
 
     def test_same_stream_rejected(self, ap_params):
         g = SimGrid(dt=2e-8, duration=1e-5)

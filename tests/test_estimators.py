@@ -89,6 +89,11 @@ class TestCausalAverage:
     def test_empty_series(self):
         assert causal_exponential_average(np.array([]), 1e3, 1e-6).size == 0
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, "a", True])
+    def test_start_is_a_finite_real(self, start):
+        with pytest.raises(ParameterError, match="start"):
+            causal_exponential_average(np.zeros(10), 1e3, 1e-6, start)
+
 
 class TestAnticausalAverage:
     def test_definitional_identity_bit_exact(self):
@@ -170,6 +175,18 @@ class TestApplyEstimators:
         f, b = apply_estimators(x[1000:2000 + ahead], params, g, forward[999], ahead)
         assert np.array_equal(f, forward[1000:2000])
         assert np.allclose(b, backward[1000:2000], rtol=0, atol=math.exp(-40) * 10)
+
+    @pytest.mark.parametrize("lookahead", [-1, 101, 200, True, 1.0, None])
+    def test_lookahead_is_an_int_within_the_series(self, lookahead):
+        g = SimGrid(dt=1e-6, duration=1e-4)
+        with pytest.raises(ParameterError, match=r"lookahead must be an integer in \[0, 100\]"):
+            apply_estimators(np.zeros(100), EstimatorParams(2e3, 1e4), g, None, lookahead)
+
+    @pytest.mark.parametrize("lookahead", [0, 100])
+    def test_lookahead_at_either_end(self, lookahead):
+        g = SimGrid(dt=1e-6, duration=1e-4)
+        f, b = apply_estimators(np.ones(100), EstimatorParams(2e3, 1e4), g, None, lookahead)
+        assert len(f) == len(b) == 100 - lookahead
 
 
 class TestEmpiricalMse:

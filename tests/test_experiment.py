@@ -260,6 +260,16 @@ class TestEdgePolicy:
         assert default_edge_discard(1e5, None, 1e2, 1.0) == pytest.approx(3e-2)
         assert default_edge_discard(1e5, None, 1e2, 0.01) == pytest.approx(5e-5)
 
+    @pytest.mark.parametrize("args, name", [
+        ((0.0, None, 1.0, 1.0), "chi_min"), ((-1.0, None, 1.0, 1.0), "chi_min"),
+        ((math.nan, None, 1.0, 1.0), "chi_min"), ((1e5, math.nan, 1.0, 1.0), "beta"),
+        ((1e5, 0.0, 1.0, 1.0), "beta"), ((1e5, None, math.nan, 1.0), "lam"),
+        ((1e5, None, -1.0, 1.0), "lam"),
+    ])
+    def test_policy_function_refuses_bad_rates(self, args, name):
+        with pytest.raises(ParameterError, match=name):
+            default_edge_discard(*args)
+
 
 class TestRunTrial:
     def test_deterministic(self):
@@ -607,11 +617,18 @@ class NoHelper:
         raise AssertionError("a helper thread started")
 
 
+class NoPool:
+    """A process pool that fails when a run starts one."""
+
+    def __init__(self, max_workers):
+        raise AssertionError("a process pool started")
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the CPU count that the experiment sees."""
+    """Sets the count of usable CPUs that the experiment sees."""
     def set_count(count):
-        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: count)
+        monkeypatch.setattr(ouphase.experiment, "_cpus", lambda: count)
     return set_count
 
 
@@ -815,7 +832,9 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("count, helper", [(2, False), (4, True)])
     def test_pool_workers_draw_ahead_only_with_a_cpu_each_to_spare(self, count, helper, cpus,
-                                                                  monkeypatch):
+                                                                  pool_sizes, monkeypatch):
+        # the pool's tasks run in this process (pool_sizes), where the patches
+        # hold whatever the start method: a forkserver worker would not see them
         cpus(count)
         monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
         cfg = make_config(duration=MULTI_BLOCK, trials=30)
@@ -824,6 +843,25 @@ class TestDrawAhead:
                 run_ensemble(cfg, workers=2)
         else:
             run_ensemble(cfg, workers=2)
+        assert pool_sizes == [2]
+
+    def test_one_usable_cpu_is_the_serial_loop(self, monkeypatch):
+        # the CPUs the process may run on, not the machine's, size the pool and
+        # set the helper rule: on one, a pool of one is the serial loop, no helper
+        cfg = make_config(duration=MULTI_BLOCK, trials=30)
+        serial = run_ensemble(cfg)
+        monkeypatch.setattr(ouphase.experiment.os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
+        monkeypatch.setattr(ouphase.experiment, "ProcessPoolExecutor", NoPool)
+        assert run_ensemble(cfg, workers=2) == serial
+
+    @pytest.mark.parametrize("count, cpus", [(None, 1), (3, 3)])
+    def test_cpu_count_without_an_affinity_mask(self, count, cpus, monkeypatch):
+        monkeypatch.delattr(ouphase.experiment.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: count)
+        assert ouphase.experiment._cpus() == cpus
 
     def test_serial_and_pool_reports_are_equal(self):
         cfg = make_config(duration=MULTI_BLOCK, trials=30)
@@ -1180,11 +1218,11 @@ class TestRunEnsembles:
     @pytest.mark.parametrize("workers, trials, cpus, size", [
         (5000, 30, 64, 4),    # ceil(30 / 8) chunks of trials
         (3, 200, 64, 3),      # as asked
-        (5000, 200, 2, 2),    # the CPU count
+        (5000, 200, 2, 2),    # the usable CPUs
     ])
     def test_pool_sized_from_the_work(self, workers, trials, cpus, size, pool_sizes,
                                       monkeypatch):
-        monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(ouphase.experiment, "_cpus", lambda: cpus)
         cfg = make_config(duration=2e-4, trials=trials)
         assert run_ensemble(cfg, workers=workers) == run_ensemble(cfg)
         assert pool_sizes == [size]

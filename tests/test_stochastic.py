@@ -186,6 +186,12 @@ class TestSimulateOu:
             last = blocks[-1][-1]
         assert np.array_equal(np.concatenate(blocks), simulate_ou(params, g, s, init=init))
 
+    @pytest.mark.parametrize("last", [math.nan, math.inf, "x", True])
+    def test_last_is_a_finite_real(self, ap_params, last):
+        g = SimGrid(dt=2e-8, duration=2e-5)
+        with pytest.raises(ParameterError, match="last"):
+            simulate_ou(ap_params, g, stream(), "stationary", None, 10, last)
+
     @pytest.mark.parametrize("lam, dt", [(1e-8, 2e-8), (6.1451e4, 2e-8), (6.1451e4, 5e-9)])
     def test_step_sd_is_exact_at_small_reversion(self, lam, dt):
         # unit draws from a fixed init of 0 make phi[1] the step sd itself;
