@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields, replace
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import __version__, analytics
@@ -48,33 +49,36 @@ def _choice(*options: str) -> Callable[[str], str]:
 
 
 class _Key(NamedTuple):
+    field: str  # where an ExperimentConfig keeps the value, e.g. "grid.dt"
     default: object
     parse: Callable[[str], object]  # raw string -> value; ValueError if invalid
     help: str | None = None
 
 
-# The config-file keys. Each is also a --flag (``_`` -> ``-``) parsed by the
-# same rule. The defaults are the headline adaptive operating point, so that
-# a bare `ouphase simulate` demonstrates the filtered/smoothed comparison; an
-# unset beta stays None, which ExperimentConfig resolves for either scheme.
+# The config-file keys, each mapped to its ExperimentConfig field. Each is also
+# a --flag (``_`` -> ``-``) parsed by the same rule. The defaults are the
+# headline adaptive operating point, the filtered/smoothed comparison of a bare
+# `ouphase simulate`; an unset beta stays None, for ExperimentConfig to resolve.
 _KEYS = {
-    "kappa": _Key(1.5868e4, _real),
-    "lambda": _Key(6.1451e4, _real),
-    "flux": _Key(1.3499e6, _real),
-    "chi": _Key(2.92714e5, _real),
-    "beta": _Key(None, _real_or_auto, "feedback gain in 1/s, or 'auto'"),
-    "omega0": _Key(1e2, _real),
-    "dt": _Key(2e-8, _real),
-    "duration": _Key(1e-2, _real),
-    "warmup": _Key(0.0, _real),
-    "trials": _Key(200, int),
-    "seed": _Key(424242, int),
-    "scheme": _Key("adaptive", _choice(*analytics.SCHEMES)),
-    "source": _Key("theta", _choice("theta", "phihat")),
-    "w_minus": _Key(0.5, _real),
-    "w_plus": _Key(0.5, _real),
-    "edge_discard": _Key("auto", _real_or_auto, "seconds discarded from both ends, or 'auto'"),
+    "kappa": _Key("params.kappa", 1.5868e4, _real),
+    "lambda": _Key("params.lam", 6.1451e4, _real),
+    "flux": _Key("params.flux", 1.3499e6, _real),
+    "chi": _Key("estimator.chi_minus", 2.92714e5, _real),  # and estimator.chi_plus
+    "beta": _Key("beta", None, _real_or_auto, "feedback gain in 1/s, or 'auto'"),
+    "omega0": _Key("omega0", 1e2, _real),
+    "dt": _Key("grid.dt", 2e-8, _real),
+    "duration": _Key("grid.duration", 1e-2, _real),
+    "warmup": _Key("grid.warmup", 0.0, _real),
+    "trials": _Key("trials", 200, int),
+    "seed": _Key("master_seed", 424242, int),
+    "scheme": _Key("scheme", "adaptive", _choice(*analytics.SCHEMES)),
+    "source": _Key("estimator.source", "theta", _choice("theta", "phihat")),
+    "w_minus": _Key("estimator.w_minus", 0.5, _real),
+    "w_plus": _Key("estimator.w_plus", 0.5, _real),
+    "edge_discard": _Key("estimator.edge_discard", "auto", _real_or_auto,
+                         "seconds discarded from both ends, or 'auto'"),
 }
+_PARTS = {"params": ProcessParams, "grid": SimGrid, "estimator": EstimatorParams}
 
 DEFAULTS = {key: spec.default for key, spec in _KEYS.items()}
 
@@ -97,7 +101,7 @@ def _parse_value(key: str, raw: str):
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    values, set_on = {}, {}
     with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is allowed
         try:
             lines = fh.readlines()
@@ -112,6 +116,8 @@ def _read_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in DEFAULTS:
                 raise ParameterError(f"{path}:{lineno}: unknown config key: {key}")
+            if set_on.setdefault(key, lineno) != lineno:
+                raise ParameterError(f"{path}:{lineno}: {key} is already set on line {set_on[key]}")
             try:
                 values[key] = _parse_value(key, raw)
             except ParameterError as exc:
@@ -122,27 +128,23 @@ def _read_config_file(path: str) -> dict:
 def load_config(path: str | None = None, cli_overrides: dict | None = None) -> ExperimentConfig:
     """Config from the defaults, a flat key=value file if ``path`` is given, and
     command-line overrides, each layer over the one before; an override of
-    None leaves its key unset."""
+    None leaves its key unset, and one of an unknown key is a ParameterError."""
     values = {**DEFAULTS, **(_read_config_file(path) if path else {})}
-    values.update((k, v) for k, v in (cli_overrides or {}).items() if v is not None)
-    edge = values["edge_discard"]
-    return ExperimentConfig(
-        params=ProcessParams(kappa=values["kappa"], lam=values["lambda"], flux=values["flux"]),
-        grid=SimGrid(dt=values["dt"], duration=values["duration"], warmup=values["warmup"]),
-        estimator=EstimatorParams(
-            chi_minus=values["chi"],
-            chi_plus=values["chi"],
-            w_minus=values["w_minus"],
-            w_plus=values["w_plus"],
-            source=values["source"],
-            edge_discard=None if edge == "auto" else edge,
-        ),
-        scheme=values["scheme"],
-        beta=values["beta"],
-        omega0=values["omega0"],
-        trials=values["trials"],
-        master_seed=values["seed"],
-    )
+    for key, value in (cli_overrides or {}).items():
+        if key not in _KEYS:
+            raise ParameterError(f"unknown config key: {key}")
+        if value is not None:
+            values[key] = value
+    if values["edge_discard"] == "auto":
+        values["edge_discard"] = None
+    kwargs = {part: {} for part in _PARTS}
+    for key, spec in _KEYS.items():
+        part, _, name = spec.field.rpartition(".")
+        (kwargs[part] if part else kwargs)[name] = values[key]
+    kwargs["estimator"]["chi_plus"] = values["chi"]
+    for part, cls in _PARTS.items():  # built in this order, so the first bad value is named
+        kwargs[part] = cls(**kwargs[part])
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +171,16 @@ def _ordered_conditions(reports) -> list[Condition]:
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    e = config.estimator
-    return {
-        "kappa": config.params.kappa,
-        "lambda": config.params.lam,
-        "flux": config.params.flux,
-        "chi": e.chi_minus,
-        "chi_plus": e.chi_plus,
-        "beta": None if config.loop is None else config.loop.beta,
-        "omega0": config.omega0,
-        "dt": config.grid.dt,
-        "duration": config.grid.duration,
-        "warmup": config.grid.warmup,
-        "trials": config.trials,
-        "seed": config.master_seed,
-        "scheme": config.scheme,
-        "source": e.source,
-        "w_minus": e.w_minus,
-        "w_plus": e.w_plus,
-        "edge_discard": config.edge_discard,
-        "dual_mode": config.dual_mode,
-    }
+    """Every config key in table order, chi_plus after chi, and dual_mode last."""
+    echo = {}
+    for key, spec in _KEYS.items():
+        echo[key] = attrgetter(spec.field)(config)
+        if key == "chi":
+            echo["chi_plus"] = config.estimator.chi_plus
+    echo["beta"] = None if config.loop is None else config.loop.beta
+    echo["edge_discard"] = config.edge_discard
+    echo["dual_mode"] = config.dual_mode
+    return echo
 
 
 def build_manifest(reports, config: ExperimentConfig | None = None, extra: dict | None = None) -> dict:

@@ -275,6 +275,24 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="kapa"):
             load_config(str(path))
 
+    def test_repeated_key_refused(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("chi = 1e5\n# chi again\nchi = 2e5\n")
+        with pytest.raises(ParameterError, match="run.cfg:3: chi is already set on line 1"):
+            load_config(str(path))
+        code, _, err = run(["analytic", "--config", str(path)], capsys)
+        assert code == 1
+        assert "run.cfg:3: chi is already set on line 1" in err
+
+    def test_repeated_flag_is_last_wins(self, capsys):
+        _, out, _ = run(["analytic", "--chi", "1e5", "--chi", "2e5"], capsys)
+        assert parse_table(out)["chi"] == 2e5
+
+    def test_unknown_override_key_refused(self):
+        with pytest.raises(ParameterError, match="unknown config key: kapa"):
+            load_config(None, {"kapa": 2e4, "trails": 5})
+        assert load_config(None, {"kappa": None, "trials": None}) == load_config()
+
     def test_bad_value_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("trials = many\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ouphase import ParameterError
 from ouphase.analytics import SCHEMES, analytic_mse
-from ouphase.cli import dispatch, load_config
+from ouphase.cli import _KEYS, _config_echo, dispatch, load_config
 
 REAL_KEYS = ["kappa", "lambda", "flux", "chi", "beta", "omega0", "dt", "duration", "warmup",
              "w_minus", "w_plus", "edge_discard"]
@@ -94,3 +94,40 @@ def test_library_theory_is_finite_or_refused(scheme, overrides):
         except ParameterError:
             continue
         assert math.isfinite(value), mode
+
+
+# the box of valid configs: every draw loads (beta*dt < 0.5, edge >= 5/chi)
+VALID = {
+    "kappa": st.floats(1e3, 1e5), "lambda": st.floats(1e3, 1e5), "flux": st.floats(1e5, 5e6),
+    "chi": st.floats(1e5, 5e5), "omega0": st.floats(0.0, 1e3), "dt": st.floats(5e-9, 5e-8),
+    "duration": st.floats(1e-3, 1e-2), "warmup": st.floats(0.0, 1e-4),
+    "trials": st.integers(2, 10**6), "seed": st.integers(0, 2**64 - 1),
+    "edge_discard": st.floats(5e-5, 2e-4) | st.just("auto"),
+}
+
+
+@st.composite
+def valid_overrides(draw):
+    overrides = draw(st.fixed_dictionaries({}, optional=VALID))
+    overrides["scheme"] = draw(st.sampled_from(SCHEMES))
+    if overrides["scheme"] == "adaptive":
+        overrides["source"] = draw(st.sampled_from(["theta", "phihat"]))
+        overrides["beta"] = draw(st.floats(1e5, 5e6) | st.just("auto") | st.none())
+    if draw(st.booleans()):
+        overrides["w_minus"] = draw(st.floats(0.0, 1.0))
+        overrides["w_plus"] = 1.0 - overrides["w_minus"]
+    return overrides
+
+
+@FUZZ
+@given(overrides=valid_overrides())
+def test_manifest_config_rebuilds_itself(overrides, tmp_path_factory):
+    """The manifest's config, written back as a config file, loads to the same
+    config: each key of the table reads and writes the same field."""
+    echo = _config_echo(load_config(None, overrides))
+    path = tmp_path_factory.mktemp("echo") / "run.cfg"
+    lines = [f"{key} = {echo[key]}\n" for key in _KEYS]
+    if echo["beta"] is None:  # the dual scheme runs no loop
+        lines.remove("beta = None\n")
+    path.write_text("".join(lines))
+    assert _config_echo(load_config(str(path))) == echo
