@@ -108,35 +108,33 @@ def causal_exponential_average(series, chi: float, dt: float,
     return _first_order([1.0 - a], a, x, a * (x[0] if start is None else start))
 
 
-def anticausal_exponential_average(series, chi: float, dt: float) -> np.ndarray:
-    """Mirror image of the causal average: weights future samples.
+def anticausal_exponential_average(series, chi: float, dt: float,
+                                   start: float | None = None) -> np.ndarray:
+    """Mirror image of the causal average: weights future samples, from
+    y[n] = ``start`` (None means x[-1], so that y[-1] = x[-1]).
 
     Defined as reverse -> causal -> reverse, which makes the identity
-    ``anticausal(x) == reverse(causal(reverse(x)))`` hold bit-exactly.
+    ``anticausal(x, start) == reverse(causal(reverse(x), start))`` hold
+    bit-exactly, pieces started at the next piece's first average included.
     """
     x = np.asarray(series, dtype=float)
-    return causal_exponential_average(x[::-1], chi, dt)[::-1]
+    return causal_exponential_average(x[::-1], chi, dt, start)[::-1]
 
 
 def apply_estimators(series, params: EstimatorParams, grid: SimGrid, start: float | None = None,
-                     lookahead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+                     end: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The (forward, backward) averages of one input series, at rates chi_minus
     and chi_plus. The smoothed estimate is w_minus*forward + w_plus*backward.
 
     For one block of a longer series: ``start`` is the forward average at the
-    sample before the block (``causal_exponential_average``), and the last
-    ``lookahead`` samples, the start of the next block, feed only the
-    backward average, which stops short of them. The backward average at
-    the block's end then misses the weight exp(-chi_plus*dt*lookahead) of
-    the samples past it. ``lookahead`` is an int in [0, len(series)].
+    sample before the block and ``end`` the backward average at the sample
+    after it, finite reals; None starts each from the block's own first or
+    last sample. The backward average is linear in ``end``.
     """
-    x = np.asarray(series, dtype=float)
-    if isinstance(lookahead, bool) or not isinstance(lookahead, int) or not 0 <= lookahead <= len(x):
-        raise ParameterError(f"lookahead must be an integer in [0, {len(x)}], the series' "
-                             f"length, got {lookahead!r}")
-    n = len(x) - lookahead
-    return (causal_exponential_average(x[:n], params.chi_minus, grid.dt, start),
-            anticausal_exponential_average(x, params.chi_plus, grid.dt)[:n])
+    if end is not None:
+        end = check_real("end", end)
+    return (causal_exponential_average(series, params.chi_minus, grid.dt, start),
+            anticausal_exponential_average(series, params.chi_plus, grid.dt, end))
 
 
 def retained_window(grid: SimGrid, edge_discard: float) -> tuple[int, int]:

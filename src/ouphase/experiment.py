@@ -15,8 +15,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, replace
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from operator import add, attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -46,9 +47,11 @@ __all__ = [
 
 MIN_TRIALS_FOR_STDERR = 30
 TRIAL_CHUNK = 8  # trial indices per pool task
-MIN_BLOCK = 2 ** 17  # samples per block of a trial, at least
+MIN_BLOCK = 2 ** 17  # samples per block of a trial longer than that
 SUM_CHUNK = 8192  # samples per buffer of einsum's sums, whatever np.getbufsize() says
-LOOKAHEAD_DECAYS = 40.0  # backward-average time constants each block looks ahead
+CARRY_DECAYS = 45.0  # backward-average time constants a block's carry reaches: exp(-45) past them
+CPU_QUOTA = (("/sys/fs/cgroup/cpu.max",),  # cgroup v2's, else v1's "<quota> <period>"
+             ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
 _THETA_KEY = attrgetter("scheme", "dual_mode", "n_eff")  # configs with one key share theta
 _pipeline = ContextVar("pipeline", default=None)  # the _DrawPipeline of the loop at hand
 
@@ -182,43 +185,32 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     configs[k]'s three MSE samples.
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
-    in any order or in parallel without changing any result. phi is drawn
-    once, and so are the increments dW of each measurement stream that a
-    config reads: meas1 for the adaptive scheme, meas2 for the linearized
-    dual one, both for the arg model. theta is built once for each
-    consecutive run of configs with the same (scheme, dual_mode, N'), by
-    ``linearized_theta`` or (arg model) ``arg_theta``, from those shared
-    increments; ``source="phihat"`` filters it (``feedback_estimate``).
+    in any order or in parallel without changing any result. theta is built
+    once for each consecutive run of configs with the same (scheme,
+    dual_mode, N'), by ``linearized_theta`` or (arg model) ``arg_theta``, from
+    the increments of the measurement streams it reads (meas1 for the
+    adaptive scheme, meas2 for the linearized dual one, both for the arg
+    model); ``source="phihat"`` filters it (``feedback_estimate``).
 
     No smoothed series is built: its MSE is ``EstimatorParams.combine`` of the
     window moments ff, bb and fb of the forward and backward errors. Per sample
     this differs from the direct smoothed error by at most
     |w_minus + w_plus - 1|*|phi|, within WEIGHT_SUM_TOL.
 
-    The trial runs in blocks (``blocking``), so its memory does not grow
-    with its length; a trial of at most B samples is one block with no
-    lookahead. Blocks start every B samples below n - L, and every block
-    draws: the last one takes the tail, up to B + L samples
-    (``_draw_lengths``). Each recursion carries its state from block to
-    block, each config's in its ``_ConfigTrial``; only the backward averages
-    of a block that is not the last one see a finite lookahead. phi and the
-    theta of the run at hand are the rows of one array, and each run keeps
-    only its theta over the lookahead for the next block.
+    The trial runs in blocks of B = min(n, MIN_BLOCK) samples whatever its
+    rates, the last one the rest (``_draw_lengths``), so its memory grows
+    neither with n nor with 1/chi_plus. Each block draws, filters and holds
+    only its own samples; each recursion carries its state to the next
+    block, each config's in its ``_ConfigTrial``, and the backward average's
+    back from the last block, exactly. phi and the theta of the run at hand
+    are the rows of one array.
 
     The trial is the one reader of each noise stream: it draws each once per
-    block by one generator (``_StreamAhead``), and every run that reads a
-    stream reads that draw without writing it; a stream's increments are
-    freed after the last run that reads them. The draws come from the draw
-    pipeline (``_DrawPipeline``) of the loop the trial is part of: a serial
-    pass of ``run_ensembles`` or one pool task of it, or else one of the
-    trial's own. With a CPU free for it (the usable CPUs, ``_cpus()``, are at
-    least twice the processes running trials), a trial of more blocks draws the
-    next block on the pipeline's helper thread while it runs the block at
-    hand, and its last block draws the first block of the loop's next trial
-    if that trial runs the same configs; otherwise a block's draw runs when
-    the trial reads it. The draws, so the results, are the same either way.
-    The thread ends when the loop does, also on error: a trial of its own
-    ends it before this returns.
+    block by one generator, and every run that reads a stream reads that draw
+    without writing it. The draws come from the draw pipeline
+    (``_DrawPipeline``) of the loop the trial is part of, else from one of its
+    own, on a helper thread where a CPU is free for one: the same draws, so
+    the same results, either way. The thread ends with the loop, also on error.
     """
     pipeline = _pipeline.get()
     if pipeline is None:  # a trial of its own, with a pipeline of its own
@@ -228,7 +220,7 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     c0 = configs[0]
     grid, params = c0.grid, c0.params
     n, dt = grid.n_steps, grid.dt
-    block, lookahead = blocking(configs)
+    block = min(n, MIN_BLOCK)
     phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
     trials = [_ConfigTrial(config) for config in configs]
@@ -241,41 +233,38 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
               for c in (run[0].config for run in runs)]
     last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
 
-    held, noise = pipeline.trial(configs, trial_index, [phase, *last],
-                                 _draw_lengths(n, block, lookahead), block + lookahead)
-    phi, theta = held[0], held[1]
-    theta_ahead = np.empty((len(runs), lookahead))  # each run's theta over the lookahead
-    ahead = 0
-    for s in range(0, n - lookahead, block):
-        drawn = ahead  # the previous block's lookahead
-        e, ahead = (n, 0) if s + block + lookahead >= n else (s + block, lookahead)
-        size = e + ahead - s
-        phi[:drawn] = phi[block:block + drawn]  # moves to the front
-        new = slice(drawn, size)
-        phi[new] = simulate_ou(params, grid, phase, init, noise[phase], size - drawn,
-                               None if s == 0 else float(phi[drawn - 1]))
+    held, noise = pipeline.trial(configs, trial_index, [phase, *last], _draw_lengths(n, block),
+                                 block)
+    for s in range(0, n, block):
+        size = min(block, n - s)
+        phi, theta = held[0, :size], held[1, :size]
+        phi[:] = simulate_ou(params, grid, phase, init, noise[phase], size,
+                             None if s == 0 else float(held[0, block - 1]))  # the phase before
         noise[phase].done()
-        dW = {}  # each measurement stream's increments over the block's new samples
-        for i, (run, (model, read), kept) in enumerate(zip(runs, models, theta_ahead)):
-            theta[:drawn] = kept[:drawn]
+        dW = {}  # each measurement stream's increments over the block
+        for i, (run, (model, read)) in enumerate(zip(runs, models)):
             for stream in read:
                 if stream not in dW:
-                    dW[stream] = wiener_increments(stream, size - drawn, dt, noise[stream])
-            theta[new] = model(phi[new], *map(dW.get, read), run[0].config.n_eff, dt)
+                    dW[stream] = wiener_increments(stream, size, dt, noise[stream])
+            theta[:] = model(phi, *map(dW.get, read), run[0].config.n_eff, dt)
             for stream in read:
                 if last[stream] == i:  # freed before the estimators run
                     del dW[stream]
                     noise[stream].done()
-            kept[:ahead] = theta[e - s:size]
             for trial in run:
-                trial.block(theta[:size], phi, s, e, ahead)
+                trial.block(theta, phi, s)
     return [trial.result(trial_index) for trial in trials]
 
 
 class _ConfigTrial:
-    """One config's part of a trial, fed block by block: the starts its
-    recursions carry across blocks, and ff, bb and fb, the sums of products
-    of its forward and backward errors over the window.
+    """One config's part of a trial, fed block by block: the starts of its
+    forward recursions, ff, bb and fb, the window sums of products of its
+    forward and backward errors, and each block's carry.
+
+    A block [s, e) starts its backward average b_loc from 0 past e (the last
+    block from its last sample); the trial's is b_loc + g*c, g[k] = a**(e-k),
+    a = exp(-chi_plus*dt), c the trial's average at e. ``result`` carries c
+    back from the last block and adds each block's terms in c to bb and fb.
 
     The window sums add the sums of its chunks of SUM_CHUNK samples in turn,
     as one einsum over the window does whatever np.getbufsize() says: a chunk
@@ -290,28 +279,45 @@ class _ConfigTrial:
         self.loop_start = 0.0      # phihat at the block's first sample
         self.sums = [0.0, 0.0, 0.0]
         self.cut = None  # the errors of the chunk the last block boundary cut
+        self.carries = []  # each block's b_loc[s], a**(e-s), sum(g*b_loc), sum(g*f), sum(g*g)
 
-    def block(self, source: np.ndarray, phi: np.ndarray, s: int, e: int, ahead: int):
-        """Samples s to e, and ``ahead`` more of lookahead: ``source`` is theta
-        over them and phi the phase from s. Its arrays are freed on return."""
-        config = self.config
-        if config.estimator.source == "phihat":
-            source = feedback_estimate(source, config.loop, config.grid.dt, self.loop_start)
-            self.loop_start = float(source[e - s]) if ahead else None
-        f, b = apply_estimators(source, config.estimator, config.grid, self.forward_start, ahead)
+    def block(self, source: np.ndarray, phi: np.ndarray, s: int):
+        """The block of samples from s: ``source`` is theta over them and
+        ``phi`` the phase. Its arrays are freed on return."""
+        config, est, size = self.config, self.config.estimator, len(source)
+        dt, last = config.grid.dt, s + size == config.grid.n_steps
+        if est.source == "phihat":
+            loop, theta = config.loop, source
+            source = feedback_estimate(theta, loop, dt, self.loop_start)
+            # phihat after the block: one more step of the loop, as its filter takes it
+            self.loop_start = (loop.beta * dt * float(theta[-1])
+                               + (1.0 - (loop.omega0 + loop.beta) * dt) * float(source[-1]))
+        f, b = apply_estimators(source, est, config.grid, self.forward_start, None if last else 0.0)
         self.forward_start = float(f[-1])
+        a = math.exp(-est.chi_plus * dt)
+        reach = min(math.ceil(CARRY_DECAYS / (est.chi_plus * dt)), size)  # g > exp(-45) there
+        self.carries.append([float(b[0]), a ** size, 0.0, 0.0, 0.0])
         i0, i1 = config.window
-        lo, hi = max(i0, s) - s, min(i1, e) - s
+        lo, hi = max(i0, s) - s, min(i1, s + size) - s
         if lo < hi:
             f, b, truth = f[lo:hi], b[lo:hi], phi[lo:hi]
             with np.errstate(over="ignore", invalid="ignore"):
                 f -= truth
                 b -= truth
                 self._moments(f, b, last=hi == i1 - s)
+                k = max(lo, size - reach)
+                if not last and k < hi:
+                    g = _powers(a, reach)[k - size + reach:hi - size + reach]
+                    self.carries[-1][2:] = (float(np.einsum("i,i->", g, x))
+                                            for x in (b[k - lo:], f[k - lo:], g))
 
     def result(self, trial_index: int) -> TrialResult:
         i0, i1 = self.config.window
-        ff, bb, fb = (total / (i1 - i0) for total in self.sums)
+        ff, bb, fb = self.sums
+        c = 0.0  # the trial's backward average past the block at hand, 0 past the last
+        for head, decay, gb, gf, gg in reversed(self.carries):
+            bb, fb, c = bb + 2.0 * c * gb + c * c * gg, fb + c * gf, head + decay * c
+        ff, bb, fb = (total / (i1 - i0) for total in (ff, bb, fb))
         mses = {"filtered": ff, "smoothed": self.config.estimator.combine(ff, bb, fb),
                 "backward": bb}
         for mode, value in mses.items():
@@ -351,33 +357,31 @@ def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((a, b))
 
 
-def blocking(configs) -> tuple[int, int]:
-    """(B, L): the block length and the lookahead of a trial of ``configs``.
-
-    L is LOOKAHEAD_DECAYS time constants of the slowest backward average,
-    ceil(40/(chi_plus*dt)): a sample that far ahead weighs exp(-40), below
-    one ulp. B = max(MIN_BLOCK, 4*L) keeps the lookahead a small share of a
-    block. A trial of n <= B samples is one block, (n, 0).
-    """
-    dt, n = configs[0].grid.dt, configs[0].grid.n_steps
-    lookahead = max(math.ceil(LOOKAHEAD_DECAYS / (c.estimator.chi_plus * dt)) for c in configs)
-    block = max(MIN_BLOCK, 4 * lookahead)
-    return (n, 0) if n <= block else (block, lookahead)
+@lru_cache(maxsize=8)
+def _powers(a: float, count: int) -> np.ndarray:
+    """a**count, ..., a: g over a block's last ``count`` samples, shared per chi_plus."""
+    g = a ** np.arange(count, 0, -1, dtype=float)
+    g.flags.writeable = False
+    return g
 
 
-def _draw_lengths(n: int, block: int, lookahead: int) -> list[int]:
-    """The samples each block of a trial draws. Blocks start every B samples
-    below n - L, and each draws up to its lookahead's end, min(start + B + L, n):
-    the last one takes the tail, so every block draws."""
-    ends = [min(s + block + lookahead, n) for s in range(0, n - lookahead, block)]
-    return [end - start for start, end in zip([0, *ends], ends)]
+def _draw_lengths(n: int, block: int) -> list[int]:
+    """The samples each block of a trial draws: ``block`` each, the last block the rest."""
+    return [min(block, n - s) for s in range(0, n, block)]
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on: its affinity mask, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may use: its affinity mask (else the CPU count), at most
+    floor(quota/period) of a cgroup CPU quota (none: "max", -1), but at least one."""
+    count = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    for paths in CPU_QUOTA:
+        try:
+            quota, period = " ".join(Path(path).read_text() for path in paths).split()
+            return count if quota in ("max", "-1") else max(1, min(count, int(quota) // int(period)))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return count
 
 
 class _DrawPipeline:
@@ -390,8 +394,8 @@ class _DrawPipeline:
     A trial's streams chain on to the indices that follow it below ``stop``
     (none by default) while every config of the trial counts them (has more
     trials): the loop runs those under the same configs, so with the same
-    streams and ``_draw_lengths``, and each stream's last draw of a trial is
-    followed by the next trial's first, into the same buffer row. The helper
+    streams, and each stream's last draw of a trial is followed by the next
+    trial's first, into the same buffer row. The helper
     starts with the first trial of more blocks that has a CPU free for it (the
     usable CPUs, ``_cpus()``, are at least twice ``processes``, the processes
     running trials at once), and ends with the ``with`` block, also on error.
@@ -418,11 +422,11 @@ class _DrawPipeline:
     def trial(self, configs, trial_index: int, streams, lengths: list[int], width: int):
         """The held rows, of ``width`` samples, and each of ``streams``' draws
         for trial ``trial_index`` of ``configs``. phi (row 0) and the theta of
-        the run at hand (row 1) over a block and its lookahead; a trial of
-        more blocks has a row more per stream, the buffer its draws go to, so
-        glibc, whose trim threshold is twice the largest chunk it has
-        unmapped, keeps the pages from block to block and trial to trial. A
-        trial of one block allocates its draws."""
+        the run at hand (row 1) over a block; a trial of more blocks has a row
+        more per stream, the buffer its draws go to, so glibc, whose trim
+        threshold is twice the largest chunk it has unmapped, keeps the pages
+        from block to block and trial to trial. A trial of one block allocates
+        its draws."""
         if self._next != (configs, trial_index):  # none of its draws under way
             blocks = len(lengths)
             rows = 2 + (len(streams) if blocks > 1 else 0)
@@ -559,11 +563,8 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     loop over the trial indices; a larger one maps the chunks over a process
     pool, each chunk a loop of its own, and joins the chunks' ``_run_indices``
     arrays in index order: the samples, so the results, are identical either
-    way. Each loop owns one draw pipeline (``run_trials``): its helper thread
-    draws ahead across the loop's trials, the next trial's first block during
-    this one's last, and ends before the loop does, also on error. Each pool
-    task is handed the pool's size, and starts a helper only if the usable
-    CPUs are at least twice that. Each config's theory and trials are checked first.
+    way. Each loop owns one draw pipeline (``_DrawPipeline``), built in a pool
+    task from the pool's size. Each config's theory and trials are checked first.
     """
     configs = _check_shared(configs)
     check_count("workers", workers)

@@ -113,6 +113,26 @@ class TestAnticausalAverage:
         y = anticausal_exponential_average(np.full(2000, -1.2), 1e3, 1e-6)
         assert np.allclose(y, -1.2, rtol=1e-12, atol=0)
 
+    def test_pieces_started_at_the_next_first_average_are_one_call(self):
+        x = rng(5).normal(size=50000)
+        pieces, start = [], None
+        for a, b in ((30000, 50000), (1, 30000), (0, 1)):
+            pieces.insert(0, anticausal_exponential_average(x[a:b], CHI_OP, 2e-8, start))
+            start = pieces[0][0]
+        assert np.array_equal(np.concatenate(pieces),
+                              anticausal_exponential_average(x, CHI_OP, 2e-8))
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, "a", True])
+    def test_start_is_a_finite_real(self, start):
+        with pytest.raises(ParameterError, match="start"):
+            anticausal_exponential_average(np.zeros(10), 1e3, 1e-6, start)
+
+    def test_start_none_is_the_last_sample_and_zero_is_zero(self):
+        x = np.full(10, -1.5)
+        a = math.exp(-1e3 * 1e-6)
+        assert anticausal_exponential_average(x, 1e3, 1e-6)[-1] == -1.5
+        assert anticausal_exponential_average(x, 1e3, 1e-6, 0.0)[-1] == (1.0 - a) * -1.5
+
 
 class TestCombine:
     def test_ramp_lag_cancellation(self):
@@ -164,29 +184,45 @@ class TestApplyEstimators:
         assert np.array_equal(forward, causal_exponential_average(x, 2e3, g.dt))
         assert np.array_equal(backward, anticausal_exponential_average(x, 3e3, g.dt))
 
-    def test_block_with_lookahead(self):
-        # the forward average continues bit for bit; the backward one, cut off
-        # 40 time constants ahead, misses only weights below exp(-40)
+    def test_block_started_from_both_ends_is_one_call(self):
+        # the forward average continues from the sample before the block and
+        # the backward one from the sample after it, both bit for bit
         g = SimGrid(dt=1e-6, duration=1e-2)
         x = rng(9).normal(size=g.n_steps)
         params = EstimatorParams(2e3, 1e4)
         forward, backward = apply_estimators(x, params, g)
-        ahead = math.ceil(40 / (1e4 * g.dt))
-        f, b = apply_estimators(x[1000:2000 + ahead], params, g, forward[999], ahead)
+        f, b = apply_estimators(x[1000:2000], params, g, forward[999], backward[2000])
         assert np.array_equal(f, forward[1000:2000])
-        assert np.allclose(b, backward[1000:2000], rtol=0, atol=math.exp(-40) * 10)
+        assert np.array_equal(b, backward[1000:2000])
 
-    @pytest.mark.parametrize("lookahead", [-1, 101, 200, True, 1.0, None])
-    def test_lookahead_is_an_int_within_the_series(self, lookahead):
-        g = SimGrid(dt=1e-6, duration=1e-4)
-        with pytest.raises(ParameterError, match=r"lookahead must be an integer in \[0, 100\]"):
-            apply_estimators(np.zeros(100), EstimatorParams(2e3, 1e4), g, None, lookahead)
+    def test_backward_average_is_linear_in_its_end(self):
+        # a block averaged from 0 past its end e, plus a**(e-k) times the
+        # one-call average at e, is the one-call average; the input stays near
+        # 1, so no average is near 0, where a relative bound means nothing
+        chi, g = 2.5e5, SimGrid(dt=1e-6, duration=4e-3)
+        x = 1.0 + 0.1 * rng(13).normal(size=g.n_steps)
+        params = EstimatorParams(chi, chi)
+        _, backward = apply_estimators(x, params, g)
+        e = 2500
+        f, local = apply_estimators(x[:e], params, g, None, 0.0)
+        carried = local + math.exp(-chi * g.dt) ** np.arange(e, 0, -1.0) * backward[e]
+        assert carried == pytest.approx(backward[:e], rel=1e-15, abs=0)
+        assert np.array_equal(f, apply_estimators(x[:e], params, g)[0])
 
-    @pytest.mark.parametrize("lookahead", [0, 100])
-    def test_lookahead_at_either_end(self, lookahead):
+    @pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf, "a", True])
+    def test_end_is_a_finite_real(self, end):
         g = SimGrid(dt=1e-6, duration=1e-4)
-        f, b = apply_estimators(np.ones(100), EstimatorParams(2e3, 1e4), g, None, lookahead)
-        assert len(f) == len(b) == 100 - lookahead
+        with pytest.raises(ParameterError, match="end must be"):
+            apply_estimators(np.zeros(100), EstimatorParams(2e3, 1e4), g, None, end)
+
+    def test_end_none_starts_from_the_last_sample_and_zero_from_zero(self):
+        g = SimGrid(dt=1e-6, duration=1e-4)
+        x = np.full(100, 2.0)
+        _, from_last = apply_estimators(x, EstimatorParams(2e3, 1e4), g)
+        _, from_zero = apply_estimators(x, EstimatorParams(2e3, 1e4), g, None, 0.0)
+        assert from_last[-1] == 2.0
+        assert from_zero[-1] == pytest.approx(2.0 * -math.expm1(-1e4 * g.dt), rel=1e-12)
+        assert np.all(from_zero < from_last)
 
 
 class TestEmpiricalMse:

@@ -47,7 +47,7 @@ from ouphase import (
 from ouphase.analytics import analytic_mse
 from ouphase.detection import feedback_estimate
 from ouphase.estimators import retained_window
-from ouphase.experiment import blocking, default_edge_discard
+from ouphase.experiment import MIN_BLOCK, default_edge_discard
 
 from conftest import WORKERS, count_draws
 from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
@@ -395,8 +395,7 @@ class TestScaleCovariance:
         est = EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7, **est_kwargs)
         cfg = make_config(estimator=est, duration=duration, **kwargs)
         scaled = rescaled(cfg, c)
-        assert scaled.window == cfg.window
-        assert blocking([scaled]) == blocking([cfg])
+        assert (scaled.window, scaled.grid.n_steps) == (cfg.window, cfg.grid.n_steps)
         for mode in ("filtered", "backward", "smoothed"):
             assert analytic_mse(scaled, mode) == analytic_mse(cfg, mode), mode
         for trial in (0, 7):
@@ -429,18 +428,15 @@ def as_list(result):
 
 class TestBlocks:
     # A trial longer than a block carries every recursion's state across the
-    # blocks and cuts the backward averages off 40 time constants ahead: it
-    # must agree with the one-shot detector reference to rounding. A shorter
-    # lookahead would bias the backward and smoothed MSEs upward.
+    # blocks, the backward average's exactly, from the last block back: it
+    # must agree with the one-shot detector reference to rounding.
     UNEQUAL = dict(chi_minus=2e5, chi_plus=4e5, w_minus=0.3, w_plus=0.7)
 
     def test_grid_is_several_blocks_with_the_window_inside_them(self):
         cfg = make_config(duration=MULTI_BLOCK, estimator=EstimatorParams(**self.UNEQUAL))
-        block, lookahead = blocking([cfg])
-        assert (block, lookahead) == (2 ** 17, 5000)
-        assert cfg.grid.n_steps > 2 * block and cfg.grid.n_steps % block
-        assert all(i % block for i in cfg.window)
-        assert blocking([make_config(estimator=EstimatorParams(**self.UNEQUAL))]) == (50000, 0)
+        assert MIN_BLOCK == 2 ** 17
+        assert cfg.grid.n_steps > 2 * MIN_BLOCK and cfg.grid.n_steps % MIN_BLOCK
+        assert all(i % MIN_BLOCK for i in cfg.window)
 
     DETECTORS = pytest.mark.parametrize("est_kwargs, kwargs", [
         (dict(), dict()),
@@ -475,28 +471,24 @@ class TestBlocks:
 
     def test_peak_memory_does_not_grow_with_duration(self):
         short, long = (make_config(duration=d) for d in (MULTI_BLOCK, 4 * MULTI_BLOCK))
-        block, lookahead = blocking([long])
-        assert lookahead and blocking([short]) == (block, lookahead)
         growth = peak_bytes(lambda: run_trial(long, 0)) - peak_bytes(lambda: run_trial(short, 0))
-        assert abs(growth) < 8 * block
+        assert abs(growth) < 8 * MIN_BLOCK
 
     @pytest.mark.parametrize("source", ["theta", "phihat"])
-    @pytest.mark.parametrize("extra", [1, 2500, 5000, 5001, 2 ** 17 + 2500])
-    def test_last_block_inside_the_lookahead_matches_the_one_shot_reference(self, extra, source):
-        # up to L = 5000 samples past a block, that block takes them as its
-        # tail and is the last; at L + 1 a last block of its own draws one
-        # sample; at B + 2500 the second block takes the tail
+    @pytest.mark.parametrize("extra", [1, 2500, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 2500])
+    def test_last_block_of_any_length_matches_the_one_shot_reference(self, extra, source):
+        # the last block is the rest, from one sample (past the window) to a
+        # whole block; at B + 2500 a carry passes through a whole middle block
         est = EstimatorParams(**self.UNEQUAL, source=source)
         cfg = make_config(seed=5, duration=(2 ** 17 + extra) * 2e-8, estimator=est)
         assert cfg.grid.n_steps == 2 ** 17 + extra
-        assert blocking([cfg]) == (2 ** 17, 5000)
         for trial in (0, 7):
             assert as_list(run_trial(cfg, trial)) == pytest.approx(
                 reference_trial(cfg, trial), rel=1e-15, abs=0)
 
-    def test_one_estimator_pass_per_config_and_drawing_block(self, monkeypatch):
-        # a tail inside the lookahead belongs to the last block that draws: no
-        # block of its own, which draws nothing, averages it a second time
+    def test_one_estimator_pass_per_config_and_block(self, monkeypatch):
+        # every block draws its own samples, the last one the rest, and each
+        # config averages each block once
         n = 2 ** 17 + 2500
         configs = [make_config(seed=5, duration=n * 2e-8,
                                estimator=EstimatorParams(**self.UNEQUAL, source=source))
@@ -511,17 +503,40 @@ class TestBlocks:
         draws = record_draws(monkeypatch)
         run_trials(configs, 0)
         [blocks] = draws[Role.PHASE_NOISE]
-        assert blocks == [n]
+        assert blocks == [2 ** 17, 2500]
         assert passes == ["theta", "phihat"] * len(blocks)
 
+    @pytest.mark.parametrize("source", ["theta", "phihat"])
+    @pytest.mark.parametrize("chi", [2e3, 2e4])
+    def test_peak_memory_does_not_grow_as_the_backward_rate_falls(self, chi, source):
+        # blocks of 2**17 samples whatever chi_plus: a 10 ms trial at a slow
+        # backward rate peaks near one at the default rate
+        def peak(rate):
+            cfg = make_config(duration=1e-2, estimator=EstimatorParams(rate, rate, source=source))
+            assert cfg.grid.n_steps > 3 * MIN_BLOCK
+            return peak_bytes(lambda: run_trial(cfg, 0))
+        assert peak(chi) <= 1.25 * peak(CHI_OP)
+
+    def test_phihat_filters_each_sample_once(self, monkeypatch):
+        # the loop's start for the next block is one more step of its
+        # recursion: no block filters samples past its end
+        lengths, estimate = [], ouphase.experiment.feedback_estimate
+
+        def counted(theta, *args):
+            lengths.append(len(theta))
+            return estimate(theta, *args)
+
+        monkeypatch.setattr(ouphase.experiment, "feedback_estimate", counted)
+        cfg = make_config(duration=MULTI_BLOCK, estimator=PHIHAT)
+        run_trial(cfg, 0)
+        assert lengths == [MIN_BLOCK, MIN_BLOCK, cfg.grid.n_steps - 2 * MIN_BLOCK]
+
     def test_peak_memory_does_not_grow_with_flux_points(self):
-        # each run of configs with one N' keeps only its theta over the lookahead
+        # each run of configs with one N' builds its theta into the one row
         configs = flux_points(make_config(duration=MULTI_BLOCK))
-        block, lookahead = blocking(configs)
-        assert lookahead and blocking(configs[:1]) == (block, lookahead)
         growth = (peak_bytes(lambda: run_trials(configs, 0))
                   - peak_bytes(lambda: run_trials(configs[:1], 0)))
-        assert growth < 8 * block
+        assert growth < 8 * MIN_BLOCK
 
 
 # derandomized as tests/test_fuzz.py: a failure repeats, and is a finding
@@ -568,8 +583,9 @@ def test_window_sums_do_not_depend_on_the_blocks(cuts, bufsize, seed):
 def test_short_block_trials_have_the_discrete_models_mean(scheme, scales, chis, w_minus, dt, n,
                                                           seed):
     """A 30-trial ensemble of a linearized theta config at a random point of
-    the box, its blocks as short as its lookahead allows (MIN_BLOCK low),
-    against the exact expectation of the sampled model: ``discrete_filtered_mse``
+    the box, in blocks of 2**10 samples (MIN_BLOCK low), so that the backward
+    average's carry often spans several blocks, against the exact
+    expectation of the sampled model: ``discrete_filtered_mse``
     at chi_minus (filtered) and chi_plus (backward), ``discrete_combined_mse``
     (smoothed), at the effective flux N'.
 
@@ -632,6 +648,22 @@ def cpus(monkeypatch):
     return set_count
 
 
+@pytest.fixture
+def quota(tmp_path, monkeypatch):
+    """Points the cgroup CPU quota files at temporary ones, none there until
+    ``quota(v2, v1)`` writes cpu.max's text (v2) or the quota's and the
+    period's texts (v1), where given."""
+    cpu_max, cfs = tmp_path / "cpu.max", (tmp_path / "cfs_quota_us", tmp_path / "cfs_period_us")
+    monkeypatch.setattr(ouphase.experiment, "CPU_QUOTA", ((str(cpu_max),), tuple(map(str, cfs))))
+
+    def write(v2=None, v1=()):
+        if v2 is not None:
+            cpu_max.write_text(v2)
+        for path, text in zip(cfs, v1 or ()):
+            path.write_text(text)
+    return write
+
+
 class TestDrawAhead:
     # A trial of more blocks, with a CPU free for it, draws each stream's next
     # block on one helper thread while it runs the block at hand: the same
@@ -659,7 +691,7 @@ class TestDrawAhead:
     def test_inline_draws_equal_threaded_ones(self, case, cpus):
         cpus(2)
         configs = self.CASES[case]()
-        assert blocking(configs)[1]
+        assert configs[0].grid.n_steps > MIN_BLOCK
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # the threads trade the interpreter often
         try:
@@ -678,7 +710,8 @@ class TestDrawAhead:
         configs = flux_sweep_configs("adaptive", duration)
         draws = record_draws(monkeypatch)
         run_trials(configs, 0)
-        n, block = configs[0].grid.n_steps, blocking(configs)[0]
+        n = configs[0].grid.n_steps
+        block = min(n, MIN_BLOCK)
         assert {role: [sum(lengths) for lengths in made] for role, made in draws.items()} == {
             Role.PHASE_NOISE: [n], Role.MEASUREMENT_NOISE: [n]}
         assert [len(made[0]) for made in draws.values()] == [math.ceil(n / block)] * 2
@@ -799,10 +832,9 @@ class TestDrawAhead:
         done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
         assert done.returncode == 0, done.stderr
-        block, lookahead = blocking([make_config(duration=MULTI_BLOCK)])
         stream = NoiseStream(5, 3, Role.PHASE_NOISE)
-        assert done.stdout == (f"{stream} drew {block + lookahead - 1} normals for a block "
-                               f"that reads {block + lookahead}\n")
+        assert done.stdout == (f"{stream} drew {MIN_BLOCK - 1} normals for a block "
+                               f"that reads {MIN_BLOCK}\n")
 
     def test_a_draw_longer_than_its_buffer_row_is_named(self, cpus, monkeypatch):
         # refused before it is submitted, not inside numpy on the helper thread
@@ -811,12 +843,11 @@ class TestDrawAhead:
         monkeypatch.setattr(ouphase.experiment, "_draw_lengths",
                             lambda *args: [k + 1 for k in lengths(*args)])
         before = threading.active_count()
-        block, lookahead = blocking([make_config(duration=MULTI_BLOCK)])
         stream = NoiseStream(5, 3, Role.PHASE_NOISE)
         with pytest.raises(RuntimeError) as raised:
             run_trial(make_config(seed=5, duration=MULTI_BLOCK), 3)
-        assert str(raised.value) == (f"{stream} draws {block + lookahead + 1} normals for a "
-                                     f"block whose buffer row holds {block + lookahead}")
+        assert str(raised.value) == (f"{stream} draws {MIN_BLOCK + 1} normals for a "
+                                     f"block whose buffer row holds {MIN_BLOCK}")
         assert threading.active_count() == before
 
     def test_no_helper_without_a_free_cpu(self, cpus, monkeypatch):
@@ -827,7 +858,7 @@ class TestDrawAhead:
         monkeypatch.setattr(ouphase.experiment, "ThreadPoolExecutor", NoHelper)
         assert run_trial(cfg, 0) == expected
         cpus(64)
-        for duration in (1e-3, (2 ** 17 + 2500) * 2e-8):  # one block: no helper at any CPU count
+        for duration in (1e-3, MIN_BLOCK * 2e-8):  # one block: no helper at any CPU count
             run_trial(make_config(duration=duration), 0)
 
     @pytest.mark.parametrize("count, helper", [(2, False), (4, True)])
@@ -845,7 +876,7 @@ class TestDrawAhead:
             run_ensemble(cfg, workers=2)
         assert pool_sizes == [2]
 
-    def test_one_usable_cpu_is_the_serial_loop(self, monkeypatch):
+    def test_one_usable_cpu_is_the_serial_loop(self, quota, monkeypatch):
         # the CPUs the process may run on, not the machine's, size the pool and
         # set the helper rule: on one, a pool of one is the serial loop, no helper
         cfg = make_config(duration=MULTI_BLOCK, trials=30)
@@ -858,9 +889,26 @@ class TestDrawAhead:
         assert run_ensemble(cfg, workers=2) == serial
 
     @pytest.mark.parametrize("count, cpus", [(None, 1), (3, 3)])
-    def test_cpu_count_without_an_affinity_mask(self, count, cpus, monkeypatch):
+    def test_cpu_count_without_an_affinity_mask(self, count, cpus, quota, monkeypatch):
         monkeypatch.delattr(ouphase.experiment.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(ouphase.experiment.os, "cpu_count", lambda: count)
+        assert ouphase.experiment._cpus() == cpus
+
+    @pytest.mark.parametrize("cpu_max, cfs, cpus", [
+        (None, None, 4),                              # no cgroup files
+        ("max 100000\n", None, 4),                    # v2 without a limit
+        ("250000 100000\n", None, 2),                 # v2: 2.5 CPUs of time
+        ("50000 100000\n", None, 1),                  # under one CPU's time: still one
+        (None, ("-1\n", "100000\n"), 4),              # v1 without a limit
+        (None, ("300000\n", "100000\n"), 3),
+        (None, ("800000\n", "100000\n"), 4),          # more time than the mask has CPUs
+        ("max 100000\n", ("100000\n", "100000\n"), 4),  # v2 read first
+        ("a lot\n", None, 4),                         # unreadable: no limit
+    ])
+    def test_cgroup_cpu_quota_caps_the_usable_cpus(self, cpu_max, cfs, cpus, quota, monkeypatch):
+        monkeypatch.setattr(ouphase.experiment.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        quota(cpu_max, cfs)
         assert ouphase.experiment._cpus() == cpus
 
     def test_serial_and_pool_reports_are_equal(self):
@@ -1140,13 +1188,12 @@ class TestRunEnsembles:
             assert (calls["simulate_ou"], len(estimated)) == (40, 70)
 
     def test_multi_block_configs_of_other_trial_counts_share_one_pass(self, cpus):
-        # L falls from index 30, where the slower config's trials end: the
-        # streams chain from trial to trial up to index 29 and start afresh at
-        # 30, serially and in each pool task; with 4 CPUs a 2-process pool's
+        # the configs change at index 30, where the slower config's trials end:
+        # the streams chain from trial to trial up to index 29 and start afresh
+        # at 30, serially and in each pool task; with 4 CPUs a 2-process pool's
         # tasks draw on their own helpers
         a = make_config(duration=MULTI_BLOCK, trials=40)
         b = replace(with_chi(a, 1e5)[0], trials=30)
-        assert blocking([a, b])[1] > blocking([a])[1]
         cpus(2)
         separate = [run_ensemble(a), run_ensemble(b)]
         for count, workers in [(2, 1), (1, 1), (2, 2), (1, 2), (4, 2)]:
@@ -1206,13 +1253,13 @@ class TestRunEnsembles:
         # a stream's one draw is held until the last run that reads it has built
         # its theta: one array more than a single config, never one per reader
         configs = flux_sweep_configs("adaptive", 1e-3, (1.35e6, 2.7e6, 5.4e6))
-        assert not blocking(configs)[1]
+        assert configs[0].grid.n_steps <= MIN_BLOCK
         assert peak_bytes(lambda: run_trials(configs, 0)) <= 5.5 * 8 * configs[0].grid.n_steps
 
     def test_peak_memory_of_a_one_block_arg_sweep_is_seven_arrays(self):
         # phi, theta, both arms' increments and the arg model's three temporaries
         configs = with_chi(make_config(scheme="dual_homodyne", dual_mode="arg"), 2e5, 3e5, 4e5)
-        assert not blocking(configs)[1]
+        assert configs[0].grid.n_steps <= MIN_BLOCK
         assert peak_bytes(lambda: run_trials(configs, 0)) <= 7.5 * 8 * configs[0].grid.n_steps
 
     @pytest.mark.parametrize("workers, trials, cpus, size", [
