@@ -170,19 +170,19 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialResult:
 
 def _check_shared(configs) -> list[ExperimentConfig]:
     """``configs`` as a list, if it is not empty and its configs can share
-    trials: they agree in what a trial's draws depend on."""
+    trials: they agree in what a trial's draws depend on, and in their count."""
     configs = list(configs)
-    shared = {(c.params.kappa, c.params.lam, c.grid, c.master_seed) for c in configs}
+    shared = {(c.params.kappa, c.params.lam, c.grid, c.master_seed, c.trials) for c in configs}
     if len(shared) != 1:
         raise ParameterError("need one or more configs that agree in kappa, lambda, "
-                             "grid and seed")
+                             "grid, seed and trials")
     return configs
 
 
 def run_trials(configs, trial_index: int) -> list[TrialResult]:
     """One trial index under configs that share its draws (they must agree in
-    kappa, lambda, grid and seed; ``trials`` is not read); result ``k`` is
-    configs[k]'s three MSE samples.
+    kappa, lambda, grid, seed and trials; no trial reads ``trials``); result
+    ``k`` is configs[k]'s three MSE samples.
 
     Deterministic in (master_seed, trial_index); trials of an ensemble may run
     in any order or in parallel without changing any result. theta is built
@@ -233,8 +233,7 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
               for c in (run[0].config for run in runs)]
     last = {stream: i for i, (_, read) in enumerate(models) for stream in read}
 
-    held, noise = pipeline.trial(configs, trial_index, [phase, *last], _draw_lengths(n, block),
-                                 block)
+    held, noise = pipeline.trial(trial_index, [phase, *last], _draw_lengths(n, block), block)
     for s in range(0, n, block):
         size = min(block, n - s)
         phi, theta = held[0, :size], held[1, :size]
@@ -392,10 +391,9 @@ class _DrawPipeline:
     draws from.
 
     A trial's streams chain on to the indices that follow it below ``stop``
-    (none by default) while every config of the trial counts them (has more
-    trials): the loop runs those under the same configs, so with the same
-    streams, and each stream's last draw of a trial is followed by the next
-    trial's first, into the same buffer row. The helper
+    (none by default): the loop runs those under the same configs, so with the
+    same streams and blocks, and each stream's last draw of a trial is
+    followed by the next trial's first, into the same buffer row. The helper
     starts with the first trial of more blocks that has a CPU free for it (the
     usable CPUs, ``_cpus()``, are at least twice ``processes``, the processes
     running trials at once), and ends with the ``with`` block, also on error.
@@ -407,8 +405,7 @@ class _DrawPipeline:
         self._helper = None
         self._held = np.empty((0, 0))
         self._noise = []  # each stream's _StreamAhead
-        self._end = 0  # the chain's end: the first index the streams do not reach
-        self._next = None  # the configs and index whose draws are under way
+        self._next = None  # the index whose draws are under way
 
     def __enter__(self):
         self._token = _pipeline.set(self)
@@ -419,27 +416,24 @@ class _DrawPipeline:
         if self._helper:
             self._helper.shutdown(wait=True, cancel_futures=True)
 
-    def trial(self, configs, trial_index: int, streams, lengths: list[int], width: int):
+    def trial(self, trial_index: int, streams, lengths: list[int], width: int):
         """The held rows, of ``width`` samples, and each of ``streams``' draws
-        for trial ``trial_index`` of ``configs``. phi (row 0) and the theta of
-        the run at hand (row 1) over a block; a trial of more blocks has a row
-        more per stream, the buffer its draws go to, so glibc, whose trim
-        threshold is twice the largest chunk it has unmapped, keeps the pages
-        from block to block and trial to trial. A trial of one block allocates
-        its draws."""
-        if self._next != (configs, trial_index):  # none of its draws under way
+        for trial ``trial_index``. phi (row 0) and the theta of the run at hand
+        (row 1) over a block; a trial of more blocks has a row more per stream,
+        the buffer its draws go to, so glibc, whose trim threshold is twice the
+        largest chunk it has unmapped, keeps the pages from block to block and
+        trial to trial. A trial of one block allocates its draws."""
+        if self._next != trial_index:  # none of its draws under way
             blocks = len(lengths)
             rows = 2 + (len(streams) if blocks > 1 else 0)
             if self._held.shape != (rows, width):
                 self._held = np.empty((rows, width))
             if blocks > 1 and not self._helper and _cpus() >= 2 * self._processes:
                 self._helper = ThreadPoolExecutor(max_workers=1)
-            self._end = min(self._stop, *(config.trials for config in configs))
-            indices = [trial_index, *range(trial_index + 1, self._end)]
-            helper = self._helper if blocks > 1 else None
-            self._noise = [_StreamAhead(_draws(stream, indices, lengths), helper, buffer)
+            indices = [trial_index, *range(trial_index + 1, self._stop)]
+            self._noise = [_StreamAhead(_draws(stream, indices, lengths), self._helper, buffer)
                            for stream, buffer in itertools.zip_longest(streams, self._held[2:])]
-        self._next = (configs, trial_index + 1) if trial_index + 1 < self._end else None
+        self._next = trial_index + 1 if trial_index + 1 < self._stop else None
         return self._held, dict(zip(streams, self._noise))
 
 
@@ -553,10 +547,8 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     """One VarianceReport per config, from one pass over the trial indices that
     the configs share (``run_trials``): common random numbers across them.
 
-    The configs may differ in ``trials``: trial index i runs under the configs
-    with more than i trials, and each report folds its own config's samples at
-    the first ``trials`` indices (its [k, :, :trials] slice), so it equals
-    ``run_ensemble`` of that config.
+    The configs share one ``trials``: every trial index runs under every
+    config, and each report equals ``run_ensemble`` of its config.
 
     The pool size is min(workers, count of chunks of TRIAL_CHUNK consecutive
     indices, usable CPUs (``_cpus()``)). A pool of one is the serial run, one
@@ -570,10 +562,9 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
     check_count("workers", workers)
     theories = [{mode: analytics.analytic_mse(config, mode)
                  for mode in ("filtered", "smoothed", "backward")} for config in configs]
-    fewest = min(config.trials for config in configs)
-    if fewest < MIN_TRIALS_FOR_STDERR:
-        raise StatisticsError(f"{fewest} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
-    trials = max(config.trials for config in configs)
+    trials = configs[0].trials
+    if trials < MIN_TRIALS_FOR_STDERR:
+        raise StatisticsError(f"{trials} trials < {MIN_TRIALS_FOR_STDERR}: too few for error bars")
     chunks = [range(i, min(i + TRIAL_CHUNK, trials)) for i in range(0, trials, TRIAL_CHUNK)]
     # a fork pool starts all its processes at once: no more than can get work
     size = min(workers, len(chunks), _cpus())
@@ -583,23 +574,22 @@ def run_ensembles(configs, workers: int = 1) -> list[VarianceReport]:
             samples = np.concatenate(list(pool.map(task, chunks)), axis=2)
     else:
         samples = _run_indices(configs, range(trials))
-    return [_report(config, rows[:, :config.trials], theory)
+    return [_report(config, rows, theory)
             for config, rows, theory in zip(configs, samples, theories)]
 
 
 def _run_indices(configs: list[ExperimentConfig], indices: range,
                  processes: int = 1) -> np.ndarray:
     """Trials ``indices`` as one float64 array of shape (configs, 3, indices): [k, :, j]
-    is configs[k]'s filtered, smoothed and backward MSE at indices[j], NaN where configs[k]
-    has no more trials than that index. One draw pipeline serves them all; ``processes``,
-    the processes running trials at once (the pool's size, 1 serially), sets its CPU rule."""
-    samples = np.full((len(configs), 3, len(indices)), np.nan)
+    is configs[k]'s filtered, smoothed and backward MSE at indices[j]. One draw pipeline
+    serves them all; ``processes``, the processes running trials at once (the pool's
+    size, 1 serially), sets its CPU rule."""
+    samples = np.empty((len(configs), 3, len(indices)))
     with _DrawPipeline(indices.stop, processes):
         for j, i in enumerate(indices):
-            run = [config for config in configs if config.trials > i]
             # one config calls run_trial by its global name, which bench/tracer.py wraps
-            results = [run_trial(run[0], i)] if len(run) == 1 else run_trials(run, i)
-            samples[[config.trials > i for config in configs], :, j] = list(map(astuple, results))
+            results = [run_trial(configs[0], i)] if len(configs) == 1 else run_trials(configs, i)
+            samples[:, :, j] = list(map(astuple, results))
     return samples
 
 

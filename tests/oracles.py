@@ -85,6 +85,23 @@ def discrete_filtered_mse(kappa, lam, flux, chi, dt):
     return sig + var_w * (1 - a) / (1 + a)
 
 
+def discrete_kalman(kappa, lam, flux, dt):
+    """Gain K and error P of the steady-state Kalman filter of the sampled
+    model, x[k] = (1 - K)*rho*x[k-1] + K*y[k]: the phase is AR(1) with
+    rho = exp(-lam*dt) and innovation variance q = s*(1 - rho^2), s =
+    kappa/(2*lam), and y[k] is the phase plus white noise of variance r =
+    1/(4*flux*dt). The prior error M solves the discrete Riccati equation
+    M = rho^2*M*r/(M + r) + q, that is M^2 + (r*(1 - rho^2) - q)*M - q*r = 0;
+    K = M/(M + r) and P = (1 - K)*M."""
+    one_minus_rho2 = -math.expm1(-2.0 * lam * dt)
+    q = kappa / (2.0 * lam) * one_minus_rho2
+    r = 1.0 / (4.0 * flux * dt)
+    b = r * one_minus_rho2 - q
+    prior = 2.0 * q * r / (b + math.sqrt(b * b + 4.0 * q * r))  # the positive root
+    gain = prior / (prior + r)
+    return gain, (1.0 - gain) * prior
+
+
 def discrete_combined_mse(kappa, lam, flux, chi_minus, chi_plus, w_minus, w_plus, dt):
     """Expected MSE of the discrete affine combination, including the shared
     current-sample noise term that both branches pick up at lag zero."""

@@ -60,15 +60,15 @@ def criterion(number, ok, detail):
 
 @pytest.fixture(scope="module")
 def fine_reports():
-    """The three ensembles on the fine grid, from one pass over shared trials:
-    the adaptive operating point (200 trials), criterion 7's asymmetric
-    combination (120) and the dual scheme (120). The two adaptive configs are
-    neighbours, so they share theta as well as phi."""
+    """The three ensembles on the fine grid: the adaptive operating point (200
+    trials) on its own, then criterion 7's asymmetric combination and the dual
+    scheme (120 each) from one pass over shared trials, as a pass runs one
+    trial count. Each report equals one ensemble of its own config."""
     grid = SimGrid(dt=5e-9, duration=1e-2)
-    configs = [
-        ExperimentConfig(params=AP_PARAMS, grid=grid,
-                         estimator=EstimatorParams(CHI_OP, CHI_OP, source="theta"),
-                         beta="auto", omega0=1e2, trials=200, master_seed=SEED),
+    ap = ExperimentConfig(params=AP_PARAMS, grid=grid,
+                          estimator=EstimatorParams(CHI_OP, CHI_OP, source="theta"),
+                          beta="auto", omega0=1e2, trials=200, master_seed=SEED)
+    shared = [
         ExperimentConfig(params=AP_PARAMS, grid=grid,
                          estimator=EstimatorParams(2e5, 4e5, w_minus=0.3, w_plus=0.7),
                          beta="auto", trials=120, master_seed=SEED),
@@ -77,7 +77,7 @@ def fine_reports():
                          scheme="dual_homodyne", beta=None, trials=120, master_seed=SEED),
     ]
     start = time.perf_counter()
-    reports = run_ensembles(configs, workers=WORKERS)
+    reports = [run_ensemble(ap, workers=WORKERS), *run_ensembles(shared, workers=WORKERS)]
     elapsed = time.perf_counter() - start
     print(f"(fine-grid ensembles: 200, 120 and 120 x 10 ms trials in {elapsed:.0f} s "
           f"with {WORKERS} workers)")

@@ -23,7 +23,11 @@ from ouphase import (
 )
 
 from oracles import (
+    AP,
     CHI_OP,
+    PURE_DIFF,
+    discrete_filtered_mse,
+    discrete_kalman,
     kalman_bucy_mse,
     quad_correlation,
     quad_filtered_mse,
@@ -233,6 +237,22 @@ class TestOptimalChi:
                         assert opt.mse_star == pytest.approx(floor, rel=1e-12)
                     boundary += opt.at_boundary
         assert boundary > 0
+
+    @pytest.mark.parametrize("point", [AP, PURE_DIFF], ids=["AP", "PD"])
+    def test_discrete_kalman_filter_bounds_the_sampled_filter(self, point):
+        # the steady-state Kalman filter is the optimal causal filter of the
+        # samples: no averaging rate (chi*dt up to 0.4) beats it at either N',
+        # and as dt -> 0 its error tends to the Kalman-Bucy filter's, to
+        # O(gamma*dt) = 3e-6 at dt = 1e-11 s
+        kappa, lam, flux = point["kappa"], point["lam"], point["flux"]
+        for n_eff in (flux, flux / 2.0):
+            for dt in (5e-9, 2e-8, 4e-8):
+                _, floor = discrete_kalman(kappa, lam, n_eff, dt)
+                for chi in np.geomspace(1e3, 0.4 / dt, 40):
+                    mse = discrete_filtered_mse(kappa, lam, n_eff, chi, dt)
+                    assert floor <= mse, (n_eff, dt, chi)
+            _, fine = discrete_kalman(kappa, lam, n_eff, 1e-11)
+            assert fine == pytest.approx(kalman_bucy_mse(kappa, lam, n_eff), rel=1e-4)
 
     def test_unknown_mode(self, ap_params):
         with pytest.raises(ParameterError):

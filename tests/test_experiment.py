@@ -29,6 +29,7 @@ from ouphase import (
     SimGrid,
     StatisticsError,
     apply_estimators,
+    causal_exponential_average,
     compare,
     filtered_mse,
     improvement_ratios,
@@ -50,7 +51,7 @@ from ouphase.estimators import retained_window
 from ouphase.experiment import MIN_BLOCK, default_edge_discard
 
 from conftest import WORKERS, count_draws
-from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse
+from oracles import AP, CHI_OP, discrete_combined_mse, discrete_filtered_mse, discrete_kalman
 from test_golden import SAME_VERSIONS
 
 
@@ -998,6 +999,42 @@ class TestRunEnsemble:
                                          cfg.grid.dt)
         assert abs(smth.mc_mse - target_s) <= 3 * smth.mc_stderr
 
+    def test_paired_with_the_discrete_kalman_filter(self):
+        """40 trials of 5 ms of ``reference_series`` (AP, dt = 2e-8 s, chi =
+        CHI_OP): on each trial's theta, the exponential filter and the
+        steady-state Kalman filter of the sampled model (``discrete_kalman``),
+        x[k] = (1 - K)*rho*x[k-1] + K*theta[k] from x[-1] = 0, over the config's
+        window. The Kalman filter's mean MSE is its error P, and the mean
+        per-trial difference d of the two MSEs is discrete_filtered_mse - P,
+        the exponential filter's excess over the discrete optimum: the pairing
+        cancels most of the trials' spread.
+
+        The bound is set before any run: 2 z-scores, a family-wise false-alarm
+        rate of 1e-3 and Bonferroni give |z| <= 3.48. The excess must also be
+        resolved, at more than 10 standard errors of d.
+        """
+        from scipy.signal import lfilter
+
+        config = make_config(duration=5e-3, trials=40, seed=2509)
+        p, dt = config.params, config.grid.dt
+        gain, floor = discrete_kalman(p.kappa, p.lam, p.flux, dt)
+        excess = discrete_filtered_mse(p.kappa, p.lam, p.flux, CHI_OP, dt) - floor
+        rho = math.exp(-p.lam * dt)
+        i0, i1 = config.window
+        mses = []  # per trial: the exponential filter's MSE, the Kalman filter's
+        for i in range(config.trials):
+            phi, theta = reference_series(config, i)
+            forward = causal_exponential_average(theta, CHI_OP, dt)
+            optimal = lfilter([gain], [1.0, -(1.0 - gain) * rho], theta)
+            mses.append([float(np.mean((x[i0:i1] - phi[i0:i1]) ** 2)) for x in (forward, optimal)])
+        exponential, kalman = np.array(mses).T
+        d = exponential - kalman
+        for samples, expected in ((kalman, floor), (d, excess)):
+            stderr = np.std(samples, ddof=1) / math.sqrt(len(samples))
+            assert abs(np.mean(samples) - expected) <= 3.48 * stderr, (
+                np.mean(samples), expected, (np.mean(samples) - expected) / stderr)
+        assert np.mean(d) > 10 * np.std(d, ddof=1) / math.sqrt(len(d))
+
     def test_forward_backward_symmetry(self):
         rep = run_ensemble(make_config(duration=2e-3, trials=40, seed=2356), workers=WORKERS)
         filt, back = rep.condition("filtered"), rep.backward
@@ -1165,7 +1202,8 @@ class TestRunEnsembles:
         dict(params=ProcessParams(**{**AP, "lam": 5e4})),
         dict(grid=SimGrid(dt=2e-8, duration=2e-3)),
         dict(master_seed=100),
-    ], ids=["kappa", "lam", "grid", "seed"])
+        dict(trials=40),
+    ], ids=["kappa", "lam", "grid", "seed", "trials"])
     def test_configs_must_share_trials(self, change):
         base = make_config()
         with pytest.raises(ParameterError, match="agree in"):
@@ -1173,45 +1211,29 @@ class TestRunEnsembles:
         with pytest.raises(ParameterError, match="agree in"):
             run_trials([base, replace(base, **change)], 0)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_configs_of_other_trial_counts_share_one_pass(self, workers, monkeypatch):
-        # no trial reads the count: each report folds its own first indices, and
-        # an index runs only under the configs that count it
-        a = make_config(duration=5e-4, trials=40)
-        b = replace(with_chi(a, 4e5)[0], trials=30)
-        separate = [run_ensemble(a), run_ensemble(b)]
-        calls, estimated = count_draws(monkeypatch), []
-        monkeypatch.setattr(ouphase.experiment, "apply_estimators",
-                            lambda *args: estimated.append(args) or apply_estimators(*args))
-        assert run_ensembles([a, b], workers=workers) == separate
-        if workers == 1:
-            assert (calls["simulate_ou"], len(estimated)) == (40, 70)
-
-    def test_multi_block_configs_of_other_trial_counts_share_one_pass(self, cpus):
-        # the configs change at index 30, where the slower config's trials end:
-        # the streams chain from trial to trial up to index 29 and start afresh
-        # at 30, serially and in each pool task; with 4 CPUs a 2-process pool's
-        # tasks draw on their own helpers
-        a = make_config(duration=MULTI_BLOCK, trials=40)
-        b = replace(with_chi(a, 1e5)[0], trials=30)
+    def test_multi_block_configs_share_one_pass(self, cpus):
+        # the streams chain from trial to trial over every index of the loop,
+        # serially and in each pool task; with 4 CPUs a 2-process pool's tasks
+        # draw on their own helpers
+        a = make_config(duration=MULTI_BLOCK, trials=30)
+        b = with_chi(a, 1e5)[0]
         cpus(2)
         separate = [run_ensemble(a), run_ensemble(b)]
         for count, workers in [(2, 1), (1, 1), (2, 2), (1, 2), (4, 2)]:
             cpus(count)
             assert run_ensembles([a, b], workers=workers) == separate, (count, workers)
         cpus(2)
-        samples = ouphase.experiment._run_indices([a, b], range(40))
-        assert (samples.dtype, samples.shape) == (np.float64, (2, 3, 40))
+        samples = ouphase.experiment._run_indices([a, b], range(30))
+        assert (samples.dtype, samples.shape) == (np.float64, (2, 3, 30))
+        assert not np.isnan(samples).any()
         for k, config in enumerate([a, b]):
             trials = samples[k].T  # one row of three MSE samples per index
-            assert trials[:config.trials].tolist() == [as_list(run_trial(config, i))
-                                                       for i in range(config.trials)]
-            assert np.isnan(trials[config.trials:]).all()
+            assert trials.tolist() == [as_list(run_trial(config, i)) for i in range(30)]
 
     def test_every_config_needs_enough_trials(self, monkeypatch):
         calls = count_draws(monkeypatch)
         with pytest.raises(StatisticsError, match="10 trials < 30"):
-            run_ensembles([make_config(trials=40), make_config(trials=10)])
+            run_ensembles([make_config(trials=10), make_config(trials=10, chi=4e5)])
         assert calls["simulate_ou"] == 0
 
     def test_empty_config_list_rejected(self):
