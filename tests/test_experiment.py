@@ -1204,12 +1204,13 @@ class TestRunEnsembles:
         dict(master_seed=100),
         dict(trials=40),
     ], ids=["kappa", "lam", "grid", "seed", "trials"])
-    def test_configs_must_share_trials(self, change):
-        base = make_config()
+    def test_configs_must_share_trials(self, change, monkeypatch):
+        base, calls = make_config(), count_draws(monkeypatch)
         with pytest.raises(ParameterError, match="agree in"):
             run_ensembles([base, replace(base, **change)])
         with pytest.raises(ParameterError, match="agree in"):
             run_trials([base, replace(base, **change)], 0)
+        assert calls["simulate_ou"] == 0
 
     def test_multi_block_configs_share_one_pass(self, cpus):
         # the streams chain from trial to trial over every index of the loop,
