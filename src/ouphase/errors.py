@@ -22,15 +22,21 @@ class StatisticsError(RuntimeError):
     """Requested statistics cannot be computed from the data provided."""
 
 
-def check_real(name: str, value, above: float | None = None, at_least: float | None = None) -> float:
+def as_real(name: str, value) -> float:
     """``value`` as a float, once it is known to be a real number (``bool``
-    excluded), finite, and ``> above`` / ``>= at_least`` where those are given."""
+    excluded); an int beyond the float range is inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     try:
-        v = float(value)
-    except OverflowError:  # an int beyond the float range
-        v = math.inf
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def check_real(name: str, value, above: float | None = None, at_least: float | None = None) -> float:
+    """``value`` as a float (``as_real``), once it is known to be finite and
+    ``> above`` / ``>= at_least`` where those are given."""
+    v = as_real(name, value)
     if above is not None and not v > above:
         raise ParameterError(f"{name} must be finite and > {above:g}")
     if at_least is not None and not v >= at_least:

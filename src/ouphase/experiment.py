@@ -15,7 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextvars import ContextVar
 from dataclasses import astuple, dataclass, field, replace
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from operator import add, attrgetter
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from . import analytics
 from .detection import FeedbackParams, arg_theta, feedback_estimate, linearized_theta
 from .detection import run_adaptive_loop, run_dual_homodyne  # noqa: F401  bench/tracer.py wraps them
 from .errors import ParameterError, StatisticsError
-from .errors import check_count, check_index, check_real, check_real_fields
+from .errors import as_real, check_count, check_index, check_real, check_real_fields
 from .estimators import EstimatorParams, _check_rate, apply_estimators, retained_window
 from .stochastic import SEED_BITS, NoiseStream, ProcessParams, Role, SimGrid
 from .stochastic import simulate_ou, wiener_increments
@@ -223,7 +223,7 @@ def run_trials(configs, trial_index: int) -> list[TrialResult]:
     block = min(n, MIN_BLOCK)
     phase, meas1, meas2 = (NoiseStream(c0.master_seed, trial_index, r) for r in Role)
     init = "stationary" if params.lam > 0 else 0.0
-    trials = [_ConfigTrial(config) for config in configs]
+    trials = [_ConfigTrial(config, pipeline.powers) for config in configs]
     # the runs of consecutive configs with one theta key
     runs = [list(run) for _, run in itertools.groupby(trials, key=lambda t: _THETA_KEY(t.config))]
     # each run's theta model and the measurement streams it reads (in the model's
@@ -270,10 +270,15 @@ class _ConfigTrial:
     that a block boundary cut is joined first, laid out in memory as in one
     piece, and a block's whole chunks are the rows of one einsum per product.
     So the sums do not depend on the blocks.
+
+    ``powers`` is the loop's dict of the tables of g (``_powers``), by (a,
+    count): the loop's draw pipeline holds it, so each table is built once
+    per loop of trials and dropped with it.
     """
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, powers: dict | None = None):
         self.config = config
+        self.powers = powers
         self.forward_start = None  # the forward average at the sample before the block
         self.loop_start = 0.0      # phihat at the block's first sample
         self.sums = [0.0, 0.0, 0.0]
@@ -306,7 +311,9 @@ class _ConfigTrial:
                 self._moments(f, b, last=hi == i1 - s)
                 k = max(lo, size - reach)
                 if not last and k < hi:
-                    g = _powers(a, reach)[k - size + reach:hi - size + reach]
+                    if (a, reach) not in self.powers:
+                        self.powers[a, reach] = _powers(a, reach)
+                    g = self.powers[a, reach][k - size + reach:hi - size + reach]
                     self.carries[-1][2:] = (float(np.einsum("i,i->", g, x))
                                             for x in (b[k - lo:], f[k - lo:], g))
 
@@ -356,10 +363,11 @@ def _joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate((a, b))
 
 
-@lru_cache(maxsize=8)
 def _powers(a: float, count: int) -> np.ndarray:
-    """a**count, ..., a: g over a block's last ``count`` samples, shared per chi_plus."""
-    g = a ** np.arange(count, 0, -1, dtype=float)
+    """a**count, ..., a, read-only: g over a block's last ``count`` samples,
+    shared by the configs and trials of one loop (``_DrawPipeline.powers``)."""
+    g = np.arange(count, 0, -1, dtype=float)
+    np.power(a, g, out=g)
     g.flags.writeable = False
     return g
 
@@ -386,9 +394,10 @@ def _cpus() -> int:
 class _DrawPipeline:
     """The draws of a loop over consecutive trial indices: a serial pass of
     ``run_ensembles``, one pool task of it, or a trial of its own. It holds
-    the helper thread, the ``held`` rows and one ``_StreamAhead`` per noise
-    stream; within the ``with`` block it is the pipeline that ``run_trials``
-    draws from.
+    the helper thread, the ``held`` rows, one ``_StreamAhead`` per noise
+    stream and ``powers``, the loop's tables of the backward carry (built by
+    ``_ConfigTrial`` when first needed); within the ``with`` block it is the
+    pipeline that ``run_trials`` draws from, and all it holds goes with it.
 
     A trial's streams chain on to the indices that follow it below ``stop``
     (none by default): the loop runs those under the same configs, so with the
@@ -406,6 +415,7 @@ class _DrawPipeline:
         self._held = np.empty((0, 0))
         self._noise = []  # each stream's _StreamAhead
         self._next = None  # the index whose draws are under way
+        self.powers = {}  # _powers' tables, by (a, count)
 
     def __enter__(self):
         self._token = _pipeline.set(self)
@@ -600,9 +610,10 @@ def _report(config: ExperimentConfig, rows: np.ndarray, theory: dict[str, float]
 
 
 def _check_sweep_values(values) -> np.ndarray:
-    vals = np.asarray(values, dtype=float)
+    vals = np.asarray(values, dtype=object)
     if vals.ndim != 1 or vals.size == 0:
         raise ParameterError("sweep values must be a non-empty 1-d sequence")
+    vals = np.array([as_real("sweep value", value) for value in vals])
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise ParameterError("sweep values must be positive and finite")
     if np.any(np.diff(vals) <= 0):

@@ -16,9 +16,12 @@
 # multi-block trials that read meas2, whose draws chain from trial to trial,
 # so both detectors' keyed streams are compared across worker counts. The chi
 # sweep does the same for the reports of two configs, each read from the
-# per-trial sample array that the pool joins from its tasks' chunks, and the
-# phihat run for the feedback loop's state, carried from block to block, in
-# pool tasks that each build their draw pipeline from the pool's size. The run
+# per-trial sample array that the pool joins from its tasks' chunks; the
+# second chi sweep runs 9 rates on trials of three blocks, so each loop (the
+# serial pass, each pool task) builds the backward carry's table of each rate
+# for its own trials; and the phihat run does the same for the feedback
+# loop's state, carried from block to block, in pool tasks that each build
+# their draw pipeline from the pool's size. The run
 # pinned to one CPU asks for 2 workers but may use one CPU: a pool of one is
 # the serial loop, with no helper, and writes the same bytes. A run from a
 # config file writes the same manifest as the same run from flags, and a file
@@ -44,6 +47,9 @@ cmp dual-serial.csv dual-pool.csv
 ouphase sweep-chi --relative --values 1.8,3 --trials 40 --duration 2e-3 --seed 7 --out sweep-serial.csv
 ouphase sweep-chi --relative --values 1.8,3 --trials 40 --duration 2e-3 --seed 7 --workers 2 --out sweep-pool.csv
 cmp sweep-serial.csv sweep-pool.csv
+ouphase sweep-chi --relative --values 0.5,0.75,1,1.25,1.5,1.75,2,2.5,3 --trials 40 --duration 6e-3 --seed 7 --out carry-serial.csv
+ouphase sweep-chi --relative --values 0.5,0.75,1,1.25,1.5,1.75,2,2.5,3 --trials 40 --duration 6e-3 --seed 7 --workers 2 --out carry-pool.csv
+cmp carry-serial.csv carry-pool.csv
 ouphase simulate --source phihat --trials 40 --duration 6e-3 --seed 7 --out phihat-serial.csv
 ouphase simulate --source phihat --trials 40 --duration 6e-3 --seed 7 --workers 2 --out phihat-pool.csv
 cmp phihat-serial.csv phihat-pool.csv

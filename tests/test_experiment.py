@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import subprocess
@@ -91,7 +92,8 @@ def reference_trial(config, trial_index):
 
 def peak_bytes(run):
     """Traced peak allocation of ``run()`` above what was live before it; a
-    first, untraced call keeps imports and caches outside the measurement."""
+    first, untraced call keeps imports outside the measurement (the engine
+    keeps no cache for it to fill: a loop's tables go with the loop)."""
     run()
     tracemalloc.start()
     try:
@@ -517,6 +519,55 @@ class TestBlocks:
             assert cfg.grid.n_steps > 3 * MIN_BLOCK
             return peak_bytes(lambda: run_trial(cfg, 0))
         assert peak(chi) <= 1.25 * peak(CHI_OP)
+
+    @pytest.mark.parametrize("case, chi", [("trial", 2.1e3), ("pass", 2.2e3),
+                                           ("failing pass", 2.3e3)])
+    def test_nothing_outlives_its_pass(self, case, chi, cpus, monkeypatch):
+        # at these slow rates, which no other test runs, a table of the backward
+        # carry is a whole block (1 MiB): the loop's tables go with its pipeline,
+        # also when trial 3 of the pass fails in its second block
+        cpus(2)
+        cfg = make_config(duration=MULTI_BLOCK, estimator=EstimatorParams(chi, chi))
+        run_trial(make_config(duration=MULTI_BLOCK), 0)  # first calls, untraced
+        if case == "failing pass":
+            apply, passes = ouphase.experiment.apply_estimators, []
+
+            def fails_in_trial_3(*args, **kwargs):
+                passes.append(None)
+                if len(passes) == 3 * 3 + 2:
+                    raise RuntimeError("trial 3")
+                return apply(*args, **kwargs)
+
+            monkeypatch.setattr(ouphase.experiment, "apply_estimators", fails_in_trial_3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if case == "trial":
+                run_trial(cfg, 0)
+            elif case == "pass":
+                run_ensemble(cfg)
+            else:
+                with pytest.raises(RuntimeError, match="trial 3"):
+                    run_ensembles([cfg])
+            gc.collect()  # the result, the exception and its traceback are dropped
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024
+
+    def test_one_table_per_rate_and_loop(self, monkeypatch):
+        # 9 rates over 2 trials of 3 blocks: each rate's table is built once
+        powers, built = ouphase.experiment._powers, []
+
+        def counted(a, count):
+            built.append(a)
+            return powers(a, count)
+
+        monkeypatch.setattr(ouphase.experiment, "_powers", counted)
+        configs = with_chi(make_config(duration=6e-3), *(k * 1e5 for k in range(1, 10)))
+        assert 2 * MIN_BLOCK < configs[0].grid.n_steps <= 3 * MIN_BLOCK
+        ouphase.experiment._run_indices(configs, range(2))
+        assert len(built) == len(set(built)) == 9
 
     def test_phihat_filters_each_sample_once(self, monkeypatch):
         # the loop's start for the next block is one more step of its
@@ -1067,6 +1118,14 @@ class TestSweep:
         cfg = make_config()
         for bad in ([], [1e5, -2e5], [2e5, 1e5], [1e5, 1e5]):
             with pytest.raises(ParameterError):
+                sweep(cfg, "chi", bad)
+        # what a scalar field refuses (check_real): no string, bool or int past the float range
+        for bad, message in (("abc", "non-empty 1-d sequence"),
+                             (["1e5", "2e5"], "sweep value must be a real number, got '1e5'"),
+                             ([True, 2.0], "sweep value must be a real number, got True"),
+                             ([np.bool_(True), 2.0], "must be a real number"),
+                             ([1e5, 10 ** 400], "sweep values must be positive and finite")):
+            with pytest.raises(ParameterError, match=message):
                 sweep(cfg, "chi", bad)
         with pytest.raises(ParameterError):
             sweep(cfg, "omega", [1e5, 2e5])
